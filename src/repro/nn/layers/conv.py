@@ -4,10 +4,11 @@ Implements the ``Conv1D`` layer used by the paper's U-Net encoder/decoder.
 Stride is fixed at 1 (the U-Net downsamples via pooling layers, not via
 strided convs) and padding may be ``"same"`` or ``"valid"``.
 
-The forward pass is a single einsum over a
-:func:`numpy.lib.stride_tricks.sliding_window_view` — no Python-level
-loops — and the backward pass reuses the same windowing trick on the
-zero-padded output gradient (a full correlation with the flipped kernel).
+The forward pass is ``kernel_size`` float64 BLAS GEMMs, one per kernel
+tap, each over the flattened zero-padded input shifted by that tap.  The
+backward pass windows the padded input with
+:func:`numpy.lib.stride_tricks.sliding_window_view` and correlates the
+zero-padded output gradient with the flipped kernel (a full correlation).
 """
 
 from __future__ import annotations
@@ -22,6 +23,10 @@ from repro.nn.layer import Layer, Shape
 from repro.utils.rng import SeedLike, default_rng
 
 __all__ = ["Conv1D"]
+
+#: Padded input rows per block of the forward GEMMs (about 2k rows keeps
+#: each block's tap buffers in a core's L2 cache).
+_BLOCK_ROWS = 2048
 
 
 class Conv1D(Layer):
@@ -101,11 +106,12 @@ class Conv1D(Layer):
         (x,) = inputs
         left, right = self._pad_amounts()
         self._input_length = x.shape[1]
+        x = np.asarray(x, dtype=np.float64)
         if left or right:
             x = np.pad(x, ((0, 0), (left, right), (0, 0)))
-        # (batch, out_len, channels, kernel)
-        windows = sliding_window_view(x, self.kernel_size, axis=1)
-        self._windows = windows
+        k = self.kernel_size
+        # (batch, out_len, channels, kernel), read by backward
+        self._windows = sliding_window_view(x, k, axis=1)
         if self.weight_quantizer is None:
             self._kernel_q = self.params["kernel"]
         else:
@@ -113,10 +119,30 @@ class Conv1D(Layer):
 
             self._kernel_q = quantize(self.params["kernel"],
                                       self.weight_quantizer)
-        y = np.einsum("ntck,kcf->ntf", windows, self._kernel_q,
-                      optimize=True)
-        if self.use_bias:
-            y = y + self.params["bias"]
+        # Sample b's output row t reads padded rows t..t+k-1, so over the
+        # flattened padded input, tap j is one GEMM on the rows shifted by
+        # j.  Blocks of samples keep the tap buffers in cache; the k - 1
+        # rows per sample that straddle two samples are dropped.
+        n, padded_len, channels = x.shape
+        out_len = padded_len - k + 1
+        flat = x.reshape(n * padded_len, channels)
+        block = max(1, _BLOCK_ROWS // padded_len)
+        acc = np.empty((block * padded_len, self.filters))
+        tap = np.empty_like(acc)
+        bias = self.params["bias"] if self.use_bias else 0.0
+        y = np.empty((n, out_len, self.filters))
+        for first in range(0, n, block):
+            m = min(block, n - first)
+            base = first * padded_len
+            rows = m * padded_len - k + 1
+            np.matmul(flat[base:base + rows], self._kernel_q[0],
+                      out=acc[:rows])
+            for j in range(1, k):
+                np.matmul(flat[base + j:base + j + rows], self._kernel_q[j],
+                          out=tap[:rows])
+                acc[:rows] += tap[:rows]
+            np.add(acc[:m * padded_len].reshape(m, padded_len, -1)[:, :out_len],
+                   bias, out=y[first:first + m])
         return y
 
     def backward(self, grad: np.ndarray) -> List[np.ndarray]:

@@ -66,20 +66,26 @@ class MaxPooling1D(_Pooling1D):
 
     def __init__(self, pool_size: int = 2, name: Optional[str] = None):
         super().__init__(pool_size, name)
-        self._argmax = None
+        self._x = None
 
     def forward(self, inputs: List[np.ndarray], training: bool = False) -> np.ndarray:
         (x,) = inputs
-        windows = self._window(x)
-        self._argmax = windows.argmax(axis=2)
-        return windows.max(axis=2)
+        p = self.pool_size
+        end = (x.shape[1] // p) * p
+        self._x = x
+        # Elementwise max of the p strided slices (one per window offset).
+        y = np.maximum(x[:, 0:end:p], x[:, 1:end:p])
+        for j in range(2, p):
+            np.maximum(y, x[:, j:end:p], out=y)
+        return y
 
     def backward(self, grad: np.ndarray) -> List[np.ndarray]:
-        if self._argmax is None:
+        if self._x is None:
             raise RuntimeError("backward called before forward")
+        argmax = self._window(self._x).argmax(axis=2)
         n, out_len, c = grad.shape
         gw = np.zeros((n, out_len, self.pool_size, c), dtype=grad.dtype)
-        np.put_along_axis(gw, self._argmax[:, :, None, :], grad[:, :, None, :], axis=2)
+        np.put_along_axis(gw, argmax[:, :, None, :], grad[:, :, None, :], axis=2)
         return [self._expand(gw)]
 
 

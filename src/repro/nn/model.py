@@ -117,6 +117,9 @@ class Model:
     def forward(self, x: ArrayOrList, training: bool = False) -> ArrayOrList:
         """Run the graph; returns array(s) matching the outputs spec."""
         arrays = self._coerce_inputs(x)
+        # The previous pass's activations are stale now; dropping them
+        # first keeps one pass's worth alive instead of two.
+        self._last_outputs = None
         feed = {ref.layer: arr for ref, arr in zip(self.inputs, arrays)}
         values: Dict[Layer, np.ndarray] = {}
         for layer in self.layers:

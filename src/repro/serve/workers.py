@@ -563,7 +563,8 @@ def _attach_shm(name: str):
     return shared_memory.SharedMemory(name=name)
 
 
-def _worker_main(worker_id: int, spec: FarmSpec, inbox, results) -> None:
+def _worker_main(worker_id: int, spec: FarmSpec, inbox, results,
+                 supervisor_pid: int) -> None:
     """Worker loop: pull task messages until the ``None`` sentinel.
 
     One :class:`ReplicaSource` per process keeps replica builds warm
@@ -578,24 +579,24 @@ def _worker_main(worker_id: int, spec: FarmSpec, inbox, results) -> None:
     deterministic task failure is reported as an ``("error", ...)``
     message (with traceback) before the worker dies, so the supervisor
     can fail loudly instead of requeue-looping a poisoned task.
+
+    Orphan guard: the worker exits as soon as its parent is no longer
+    *supervisor_pid* (the supervisor's own pid, handed over at spawn),
+    checked before every inbox read, and reads time out each idle
+    second.  A supervisor that dies without sending the sentinel
+    (SIGKILLed host agent, crashed parent) re-parents the worker to init
+    or a subreaper, so ``getppid()`` changes the moment it dies, even
+    while the worker is still starting up.
     """
     from queue import Empty
 
     source = ReplicaSource(spec)
     streams: Dict[int, dict] = {}
-    parent_pid = os.getppid()
     try:
-        while True:
+        while os.getppid() == supervisor_pid:
             try:
                 msg = inbox.get(timeout=1.0)
             except Empty:
-                # Orphan guard: if the supervising process vanished
-                # without the sentinel (SIGKILLed host agent, crashed
-                # parent), exit instead of blocking on the inbox
-                # forever.  getppid() changes the moment the parent
-                # dies (re-parented to init/subreaper).
-                if os.getppid() != parent_pid:
-                    break
                 continue
             if msg is None:
                 break
@@ -802,7 +803,7 @@ class WorkerPool:
         r_recv, r_send = self._ctx.Pipe(duplex=False)
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(wid, self.spec, inbox, r_send),
+            args=(wid, self.spec, inbox, r_send, os.getpid()),
             daemon=True,
         )
         proc.start()

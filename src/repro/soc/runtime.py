@@ -363,10 +363,18 @@ class CentralNodeRuntime:
     # from an SEU hit until an in-line frame completes un-hung with no
     # new hit, fully rewriting both RAM spans (the scrub).
     _model_tainted: bool = field(default=False, init=False, repr=False)
+    # Record tallies behind health_report(), kept as records are appended
+    # so a report costs the same on a long-lived stream as on a fresh one.
+    _status_counts: Dict[str, int] = field(default_factory=dict, init=False,
+                                           repr=False)
+    _engine_frames: Dict[str, int] = field(default_factory=dict, init=False,
+                                           repr=False)
+    _deadline_misses: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self):
         if self.period_s <= 0:
             raise ValueError("period_s must be positive")
+        self._tally(self.records)
         if self.obs is not None:
             self.attach_observability(self.obs)
 
@@ -602,7 +610,16 @@ class CentralNodeRuntime:
             if obs is not None:
                 self._observe_frame(record, obs)
         self.records.extend(new_records)
+        self._tally(new_records)
         return new_records
+
+    def _tally(self, records: List[FrameRecord]) -> None:
+        status, engines = self._status_counts, self._engine_frames
+        for r in records:
+            status[r.status] = status.get(r.status, 0) + 1
+            engines[r.engine] = engines.get(r.engine, 0) + 1
+            if not r.decision.deadline_met:
+                self._deadline_misses += 1
 
     # ------------------------------------------------------------------
     def _process_one(self, fi: int, i: int, frame: np.ndarray,
@@ -880,12 +897,10 @@ class CentralNodeRuntime:
 
     # ------------------------------------------------------------------
     def health_report(self) -> HealthReport:
-        """Aggregate robustness telemetry over all processed frames."""
-        status_counts: Dict[str, int] = {}
-        engine_frames: Dict[str, int] = {}
-        for r in self.records:
-            status_counts[r.status] = status_counts.get(r.status, 0) + 1
-            engine_frames[r.engine] = engine_frames.get(r.engine, 0) + 1
+        """Aggregate robustness telemetry over all processed frames.
+
+        Costs the same however many frames were processed: the record
+        tallies are kept as :meth:`run` appends records."""
         fault_counts = {
             name[len("fault."):]: count
             for name, count in self.counters.counts().items()
@@ -896,14 +911,14 @@ class CentralNodeRuntime:
             for name, count in self.counters.counts().items()
             if name.startswith("spec.invalidated.")
         }
-        misses = sum(1 for r in self.records if not r.decision.deadline_met)
         return HealthReport(
             frames_total=len(self.records),
-            status_counts=status_counts,
+            status_counts=dict(self._status_counts),
             fault_counts=fault_counts,
-            engine_frames=engine_frames,
+            engine_frames=dict(self._engine_frames),
             transitions=tuple(self.transitions),
-            deadline_miss_rate=misses / max(len(self.records), 1),
+            deadline_miss_rate=(self._deadline_misses
+                                / max(len(self.records), 1)),
             watchdog_trips=self.counters.count("watchdog.trip"),
             substituted_slices=self.counters.count("hub.substituted"),
             publish_retries=self.counters.count("acnet.retry"),

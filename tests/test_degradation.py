@@ -259,6 +259,42 @@ class TestFallbackHysteresis:
         assert runtime.transitions == []
 
 
+class TestHealthTallies:
+    """health_report() keeps its record tallies as run() appends records
+    (O(1) per report); every report must equal a full recount."""
+
+    def test_report_equals_full_recount_after_every_run(self, tiny_hls,
+                                                         frames):
+        specs = TestChaosSweep.SPECS + [
+            IPHangFault(rate=1.0, start=12, stop=16, extra_s=5e-3)]
+        runtime = make_runtime(tiny_hls, specs, seed=4242,
+                               miss_threshold=2, recovery_streak=4)
+        for a, b in [(0, 7), (7, 40), (40, 41), (41, 120), (120, 220)]:
+            runtime.run(frames[a:b], seed=11)
+            health = runtime.health_report()
+            status, engines = {}, {}
+            for r in runtime.records:
+                status[r.status] = status.get(r.status, 0) + 1
+                engines[r.engine] = engines.get(r.engine, 0) + 1
+            misses = sum(not r.decision.deadline_met
+                         for r in runtime.records)
+            assert health.frames_total == b
+            assert health.status_counts == status
+            assert list(health.status_counts) == list(status)
+            assert health.engine_frames == engines
+            assert health.deadline_miss_rate == misses / b
+        assert len(runtime.transitions) >= 2
+        assert engines[ENGINE_FALLBACK] > 0 and misses > 0
+
+    def test_records_given_at_construction_are_counted(self, tiny_hls,
+                                                        frames):
+        first = make_runtime(tiny_hls)
+        records = first.run(frames[:9], seed=1)
+        again = CentralNodeRuntime(board=first.board, records=list(records))
+        assert again.health_report().status_counts == {STATUS_OK: 9}
+        assert again.health_report().frames_total == 9
+
+
 class TestDeterminism:
     """Satellite (c): identical seeds + specs ⇒ bit-identical fault
     schedules, FrameRecord streams and HealthReports."""

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.fixed import FixedPointFormat, Overflow
 from repro.hls.config import (
@@ -16,7 +18,7 @@ from repro.hls.precision import (
     layer_based_config,
     uniform_config,
 )
-from repro.hls.profiling import LayerProfile, profile_model
+from repro.hls.profiling import LayerProfile, _abs_peak_p99, profile_model
 from repro.nn import Dense, Input, Model, ReLU, Sigmoid
 
 
@@ -134,6 +136,83 @@ class TestProfiling:
             LayerProfile(max_abs_output=-1, max_abs_weight=0,
                          output_percentile_99=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_names_first_layer(self, bad):
+        x = np.random.default_rng(2).normal(size=(40, 8))
+        x[33, 4] = bad
+        with np.errstate(all="ignore"), \
+                pytest.raises(ValueError, match="layer 'x'.*rows 0..39"):
+            profile_model(small_model(), x)
+
+    def test_non_finite_activation_names_layer(self):
+        # Finite inputs, but the first Dense overflows to inf.
+        m = small_model()
+        m.get_layer("h").params["kernel"][:] = 1e308
+        x = np.full((3, 8), 10.0)
+        with np.errstate(all="ignore"), \
+                pytest.raises(ValueError, match="layer 'h'"):
+            profile_model(m, x, batch_size=2)
+
+
+def _assert_p99_matches_numpy(a):
+    peak, p99 = _abs_peak_p99(np.asarray(a, dtype=np.float64))
+    ref = np.percentile(np.abs(a), 99)
+    assert np.float64(p99).tobytes() == ref.tobytes(), (p99, ref)
+    assert peak == np.abs(a).max()
+
+
+class TestTailSelectPercentile:
+    """``output_percentile_99`` comes from the top tail only; it must
+    equal ``np.percentile(np.abs(out), 99)`` bit for bit."""
+
+    @pytest.mark.parametrize("name, make", [
+        ("constant", lambda r: np.full(5000, 3.25)),
+        ("constant-negative", lambda r: np.full((7, 13, 5), -2.0)),
+        ("all-zero", lambda r: np.zeros(20_000)),
+        ("n=1", lambda r: np.array([-4.5])),
+        ("n=2", lambda r: np.array([1.0, -3.0])),
+        ("n=3", lambda r: np.array([0.5, -3.0, 2.0])),
+        ("ties-at-threshold",
+         lambda r: r.integers(-3, 4, size=100_000).astype(float)),
+        ("negative-heavy", lambda r: r.normal(-5.0, 1.0, size=(64, 130, 8))),
+        ("relu-like", lambda r: np.maximum(r.normal(size=(32, 260, 40)), 0)),
+        ("relu-sparse", lambda r: np.maximum(r.normal(-2.5, 1.0, 80_000), 0)),
+        ("heavy-tail", lambda r: r.standard_cauchy(size=50_000)),
+    ])
+    def test_matches_numpy(self, name, make):
+        _assert_p99_matches_numpy(make(np.random.default_rng(7)))
+
+    def test_upper_half_interpolates_from_the_upper_rank(self):
+        # numpy interpolates back from the upper order statistic when the
+        # fractional rank is >= 0.5; here that differs from interpolating
+        # forward from the lower one in the last bit.
+        a = np.random.default_rng(1).normal(size=106)
+        gamma = (106 - 1) * 0.99 - 103
+        lo, hi = np.sort(np.abs(a))[103:105]
+        assert gamma >= 0.5
+        assert lo + (hi - lo) * gamma != hi - (hi - lo) * (1 - gamma)
+        _assert_p99_matches_numpy(a)
+
+    def test_misleading_sample_falls_back(self):
+        # Every sampled element is huge, so the sampled threshold keeps
+        # far fewer than 1 % of the elements: the full partition runs.
+        a = np.random.default_rng(3).normal(size=100_000)
+        a[::61] = 1e6 + np.arange(a[::61].size)
+        _assert_p99_matches_numpy(a)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5000), st.integers(0, 2**32 - 1),
+           st.sampled_from(["normal", "ints", "relu", "negative"]))
+    def test_property(self, n, seed, family):
+        rng = np.random.default_rng(seed)
+        a = {
+            "normal": lambda: rng.normal(size=n),
+            "ints": lambda: rng.integers(-2, 3, size=n).astype(float),
+            "relu": lambda: np.maximum(rng.normal(size=n), 0.0),
+            "negative": lambda: -np.abs(rng.normal(size=n)) * 1e3,
+        }[family]()
+        _assert_p99_matches_numpy(a)
+
 
 class TestLayerBasedConfig:
     def test_integer_bits_track_profile(self):
@@ -181,3 +260,46 @@ class TestLayerBasedConfig:
         x = np.zeros((5, 8))
         assert "layer-based" in layer_based_config(m, x).strategy
         assert "+1" in layer_based_config(m, x, margin_bits=1).strategy
+
+
+#: Per-layer (result, weight) integer bits that ``layer_based_config``
+#: derives for the bundled U-Net from its 1500 training frames.  Literal
+#: on purpose: a float-forward change that moves any bit of the paper's
+#: design fails here instead of being recomputed away.
+UNET_INTEGER_BITS = {
+    0: {
+        "blm_input": (9, 9), "enc1_conv": (8, 1), "enc1_relu": (8, 8),
+        "enc1_pool": (8, 8), "enc2_conv": (8, 1), "enc2_relu": (7, 7),
+        "enc2_pool": (7, 7), "bottleneck_conv": (7, 1),
+        "bottleneck_relu": (7, 7), "dec2_up": (7, 7),
+        "dec2_concat": (7, 7), "dec2_conv": (7, 1), "dec2_relu": (7, 7),
+        "dec1_up": (7, 7), "dec1_concat": (8, 8), "dec1_conv": (8, 1),
+        "dec1_relu": (7, 7), "head_dense": (6, 1), "head_sigmoid": (1, 1),
+        "output_flatten": (1, 1),
+    },
+    1: {
+        "blm_input": (10, 10), "enc1_conv": (9, 2), "enc1_relu": (9, 9),
+        "enc1_pool": (9, 9), "enc2_conv": (9, 2), "enc2_relu": (8, 8),
+        "enc2_pool": (8, 8), "bottleneck_conv": (8, 2),
+        "bottleneck_relu": (8, 8), "dec2_up": (8, 8),
+        "dec2_concat": (8, 8), "dec2_conv": (8, 2), "dec2_relu": (8, 8),
+        "dec1_up": (8, 8), "dec1_concat": (9, 9), "dec1_conv": (9, 2),
+        "dec1_relu": (8, 8), "head_dense": (7, 2), "head_sigmoid": (2, 2),
+        "output_flatten": (2, 2),
+    },
+}
+
+
+class TestBundledUNetDesign:
+    @pytest.mark.parametrize("margin_bits", [0, 1])
+    def test_integer_bits_pinned(self, margin_bits):
+        from repro.experiments.common import bundle, unet_profiles
+
+        model = bundle().unet
+        cfg = layer_based_config(model, None, margin_bits=margin_bits,
+                                 profiles=unet_profiles())
+        got = {layer.name: (cfg.for_layer(layer.name).result.integer,
+                            cfg.for_layer(layer.name).weight.integer)
+               for layer in model.layers}
+        assert got == UNET_INTEGER_BITS[margin_bits]
+        assert all(cfg.for_layer(name).result.width == 16 for name in got)

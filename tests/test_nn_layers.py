@@ -178,6 +178,36 @@ class TestConv1D:
         inp = Input((10, 1))
         assert Conv1D(2, 4, seed=0)(inp).shape == (10, 2)
 
+    @pytest.mark.parametrize("padding, k, qat", [
+        ("same", 3, False), ("valid", 3, False), ("same", 4, False),
+        ("valid", 4, False), ("same", 1, False), ("same", 5, True),
+    ])
+    def test_forward_matches_per_position_einsum(self, padding, k, qat):
+        from repro.fixed import FixedPointFormat, quantize
+
+        rng = np.random.default_rng(k)
+        # 40 samples of length 57 fill one GEMM block and part of a second.
+        inp = Input((57, 3))
+        layer = Conv1D(5, k, padding=padding, seed=k)
+        model = Model(inp, layer(inp))
+        layer.params["bias"] = rng.normal(size=5)
+        kernel = layer.params["kernel"]
+        if qat:
+            layer.weight_quantizer = FixedPointFormat(6, 1)
+            kernel = quantize(kernel, layer.weight_quantizer)
+            assert not np.array_equal(kernel, layer.params["kernel"])
+        x = rng.normal(size=(40, 57, 3))
+        out = model.forward(x)
+        left = (k - 1) // 2 if padding == "same" else 0
+        xp = np.pad(x, ((0, 0), (left, k - 1 - left), (0, 0))
+                    ) if padding == "same" else x
+        assert out.shape == (40, xp.shape[1] - k + 1, 5)
+        assert out.flags.c_contiguous
+        for t in range(out.shape[1]):
+            expected = np.einsum("nkc,kcf->nf", xp[:, t:t + k], kernel)
+            np.testing.assert_allclose(out[:, t], expected + layer.params["bias"],
+                                       rtol=1e-12, atol=1e-13)
+
     def test_bad_padding(self):
         with pytest.raises(ValueError):
             Conv1D(2, 3, padding="full")
@@ -212,6 +242,21 @@ class TestPooling:
         model.forward(x, training=True)
         (dx,) = model.backward(np.ones((1, 2, 1)))
         np.testing.assert_allclose(dx.ravel(), [0, 1, 1, 0])
+
+    def test_max_backward_routes_ties_to_first_maximum(self):
+        inp = Input((9, 2))
+        model = Model(inp, MaxPooling1D(3)(inp))
+        x = np.array([[2.0, 7.0], [2.0, 7.0], [1.0, 7.0],
+                      [0.0, -1.0], [4.0, -3.0], [4.0, -1.0],
+                      [5.0, 6.0], [5.0, 6.0], [5.0, 6.0]]).reshape(1, 9, 2)
+        out = model.forward(x, training=True)
+        np.testing.assert_array_equal(out[0], [[2, 7], [4, -1], [5, 6]])
+        grad = np.array([[10.0, 20.0], [30.0, 40.0], [50.0, 60.0]])
+        (dx,) = model.backward(grad.reshape(1, 3, 2))
+        np.testing.assert_array_equal(dx[0], [
+            [10, 20], [0, 0], [0, 0],
+            [0, 40], [30, 0], [0, 0],
+            [50, 60], [0, 0], [0, 0]])
 
     def test_avg_backward_uniform(self):
         inp = Input((4, 1))

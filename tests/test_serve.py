@@ -617,3 +617,50 @@ class TestWarmPool:
         cpu = time.process_time() - t0_cpu
         assert wall >= 0.12          # it actually waited
         assert cpu < wall / 2        # ... by sleeping, not spinning
+
+    def test_worker_exits_when_its_supervisor_pid_is_dead(self, tiny_hls):
+        # Regression: a worker whose supervisor died while it was still
+        # starting used to take init as its supervisor and loop forever.
+        # The supervisor's pid now comes with the spawn, so a worker
+        # handed a dead one exits on entry; one handed a live pid stays.
+        import multiprocessing as mp
+
+        from repro.serve.workers import _worker_main
+
+        ctx = mp.get_context("spawn")
+        gone = ctx.Process(target=os.getpid)
+        gone.start()
+        gone.join()
+        spec = FarmSpec(model=tiny_hls)
+        workers, inboxes, pipes = [], [], []
+        for supervisor in (gone.pid, os.getpid()):
+            inbox = ctx.Queue()
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_worker_main,
+                               args=(0, spec, inbox, send, supervisor),
+                               daemon=True)
+            proc.start()
+            send.close()
+            workers.append(proc)
+            inboxes.append(inbox)
+            pipes.append(recv)
+        orphan, kept = workers
+        try:
+            t0 = time.monotonic()
+            orphan.join(timeout=20.0)
+            assert orphan.exitcode == 0
+            assert time.monotonic() - t0 < 10.0
+            assert kept.is_alive()
+            inboxes[1].put(None)
+            kept.join(timeout=20.0)
+            assert kept.exitcode == 0
+        finally:
+            for proc in workers:
+                if proc.is_alive():
+                    proc.kill()
+                    proc.join()
+            for inbox in inboxes:
+                inbox.close()
+                inbox.join_thread()
+            for recv in pipes:
+                recv.close()
