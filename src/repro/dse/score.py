@@ -60,21 +60,17 @@ class ServiceModel:
 
     #: Fixed dispatch cost per micro-batch (plan + fast-path setup).
     dispatch_overhead_s: float = 6.0e-3
-    #: Marginal per-frame cost inside a batch at compile level 0.
-    marginal_frame_cost_s: float = 2.6e-3
+    #: Marginal per-frame cost inside a batch at compile level 0: the
+    #: 2.6 ms fit scaled by 0.93, the modelled conv-lowering factor.
+    marginal_frame_cost_s: float = 2.418e-3
     #: Speedup of the marginal cost at compile levels 0/1/2.
     level_speedup: Tuple[float, float, float] = (1.0, 1.35, 1.7)
-    #: Relative marginal-cost factor of each forced conv formulation
-    #: ("auto" lets the tuner pick, modelled as the best of the three).
-    formulation_factor: Dict[str, float] = field(default_factory=lambda: {
-        "auto": 0.93, "im2col": 1.0, "tapflat": 0.93, "tap3d": 0.96})
     #: Throughput scaling per extra busy worker (pool overheads).
     worker_efficiency: float = 0.85
 
     def marginal_cost_s(self, candidate: Candidate) -> float:
-        speed = self.level_speedup[candidate.compile_level]
-        factor = self.formulation_factor[candidate.conv_formulation]
-        return self.marginal_frame_cost_s * factor / speed
+        return (self.marginal_frame_cost_s
+                / self.level_speedup[candidate.compile_level])
 
     def throughput_fps(self, n_frames: int, candidate: Candidate) -> float:
         """Modeled backlog (replay) throughput of the sharded farm."""
@@ -224,12 +220,8 @@ def _converted_for(problem: DSEProblem, candidate: Candidate) -> HLSModel:
 def _compile_for(hls: HLSModel, candidate: Candidate) -> None:
     """Bring *hls* to the candidate's compile level (idempotent for
     cached models already sitting at the right level)."""
-    if candidate.conv_formulation == "auto":
-        if hls.compile_level != candidate.compile_level:
-            hls.compile(level=candidate.compile_level)
-    else:
-        hls.compile(level=candidate.compile_level,
-                    conv_formulation=candidate.conv_formulation)
+    if hls.compile_level != candidate.compile_level:
+        hls.compile(level=candidate.compile_level)
 
 
 def score_candidate(problem: DSEProblem, candidate: Candidate,
@@ -361,12 +353,10 @@ def unet_problem(*, fast: bool = False,
                        "Layer-based Precision ac_fixed<16, x>"]))
 
     def lookup(candidate: Candidate) -> Optional[HLSModel]:
-        # Reference precision points at the auto formulation ride the
-        # shared (strategy, level) cache; compile levels are reconciled
-        # by the scorer (cheap next to a reconvert).
+        # Reference precision points ride the shared (strategy, level)
+        # cache; compile levels are reconciled by the scorer (cheap next
+        # to a reconvert).
         if not candidate.is_reference_precision:
-            return None
-        if candidate.conv_formulation != "auto":
             return None
         title = titles.get(candidate.strategy)
         if title is None:

@@ -56,7 +56,6 @@ class Candidate:
     default_reuse: int = 32
     dense_sigmoid_reuse: int = DENSE_SIGMOID_REUSE
     compile_level: int = 2
-    conv_formulation: str = "auto"
     batch_size: int = 16
     n_shards: int = 4
     workers: int = 4
@@ -89,7 +88,6 @@ class Candidate:
             "default_reuse": self.default_reuse,
             "dense_sigmoid_reuse": self.dense_sigmoid_reuse,
             "compile_level": self.compile_level,
-            "conv_formulation": self.conv_formulation,
             "batch_size": self.batch_size,
             "n_shards": self.n_shards,
             "workers": self.workers,
@@ -132,8 +130,6 @@ class SearchSpace:
     default_reuse: Tuple[int, ...] = (16, 32, 64, 128)
     dense_sigmoid_reuse: Tuple[int, ...] = (130, 260, 520)
     compile_levels: Tuple[int, ...] = (0, 1, 2)
-    conv_formulations: Tuple[str, ...] = ("auto", "im2col", "tapflat",
-                                          "tap3d")
     batch_sizes: Tuple[int, ...] = (8, 16, 32)
     n_shards: Tuple[int, ...] = (1, 2, 4)
     workers: Tuple[int, ...] = (0, 2, 4)
@@ -154,7 +150,7 @@ class SearchSpace:
         return [
             Candidate(strategy=s, default_reuse=32,
                       dense_sigmoid_reuse=DENSE_SIGMOID_REUSE,
-                      compile_level=level, conv_formulation="auto",
+                      compile_level=level,
                       batch_size=mid(self.batch_sizes),
                       n_shards=mid(self.n_shards),
                       workers=mid(self.workers))
@@ -187,7 +183,6 @@ class SearchSpace:
             default_reuse=pick(self.default_reuse),
             dense_sigmoid_reuse=pick(self.dense_sigmoid_reuse),
             compile_level=pick(self.compile_levels),
-            conv_formulation=pick(self.conv_formulations),
             batch_size=pick(self.batch_sizes),
             n_shards=pick(self.n_shards),
             workers=pick(self.workers),
@@ -203,8 +198,8 @@ class SearchSpace:
         """
         axes: List[Tuple] = [self.strategies, self.margin_bits,
                              self.default_reuse, self.dense_sigmoid_reuse,
-                             self.compile_levels, self.conv_formulations,
-                             self.batch_sizes, self.n_shards, self.workers]
+                             self.compile_levels, self.batch_sizes,
+                             self.n_shards, self.workers]
         total = 1
         for axis in axes:
             total *= len(axis)
@@ -217,11 +212,11 @@ class SearchSpace:
             for axis in reversed(axes):
                 flat, r = divmod(flat, len(axis))
                 coords.append(axis[r])
-            (wk, sh, bs, cf, lvl, dr2, dr, mb, st) = coords
+            (wk, sh, bs, lvl, dr2, dr, mb, st) = coords
             cand = Candidate(strategy=st, margin_bits=mb,
                              default_reuse=dr, dense_sigmoid_reuse=dr2,
-                             compile_level=lvl, conv_formulation=cf,
-                             batch_size=bs, n_shards=sh, workers=wk)
+                             compile_level=lvl, batch_size=bs,
+                             n_shards=sh, workers=wk)
             if cand.key() not in seen:
                 seen.add(cand.key())
                 out.append(cand)
@@ -232,7 +227,7 @@ class SearchSpace:
                rng: np.random.Generator) -> Candidate:
         """Perturb one knob of *candidate* (adaptive-mode neighborhood)."""
         knobs = ["default_reuse", "dense_sigmoid_reuse", "compile_level",
-                 "conv_formulation", "batch_size", "n_shards", "workers"]
+                 "batch_size", "n_shards", "workers"]
         if candidate.strategy == "layer-based":
             knobs.append("margin_bits")
             if self.layer_names:
@@ -250,7 +245,6 @@ class SearchSpace:
         axis = {"default_reuse": self.default_reuse,
                 "dense_sigmoid_reuse": self.dense_sigmoid_reuse,
                 "compile_level": self.compile_levels,
-                "conv_formulation": self.conv_formulations,
                 "batch_size": self.batch_sizes,
                 "n_shards": self.n_shards,
                 "workers": self.workers,

@@ -29,12 +29,20 @@ naive kernel-by-kernel execution:
   (recorded in the report) — at 16-bit stream widths the fallback is the
   normal case, exactly like hls4ml refusing an unsafe optimization.
 
+* **Per-tap conv GEMMs over zero-edged streams** — a conv is ``k``
+  BLAS GEMMs, one per tap, over the flattened rows of its operand with
+  zero edge rows around every frame, accumulating into a buffer
+  pre-filled with the bias.  The operand's producer writes that layout
+  straight into its own output, and a concat feeding only the conv is
+  never built: the conv contracts each operand against its slice of the
+  input channels (split-K).
+
 * **Static arena planner** — extends the model's liveness plan into
   first-fit offset assignment inside one preallocated float64 arena:
   every lowered step writes into a precomputed view, and per-step
-  integer/pad scratch buffers persist across calls, so the steady-state
-  path (repeated calls at one batch size) performs no numpy array
-  allocation.  (BLAS-internal workspace is outside our control.)
+  scratch buffers are sized by the largest batch seen and reused, so
+  the steady-state path performs no numpy array allocation.
+  (BLAS-internal workspace is outside our control.)
 
 Every rewrite either carries a proof obligation checked at compile time
 or is exact by construction; when a check fails the kernel keeps its
@@ -64,7 +72,7 @@ from repro.hls.kernels.shape import (ConcatKernel, FlattenKernel,
                                      UpSampleKernel)
 
 __all__ = ["CompileReport", "CompiledPlan", "compile_model",
-           "CONV_FORMULATIONS", "MAX_LUT_BITS"]
+           "MAX_LUT_BITS"]
 
 #: Largest input-stream width an exhaustive lookup table is built for
 #: (2**16 = 65,536 float64 entries = 512 KiB per table).
@@ -72,7 +80,7 @@ MAX_LUT_BITS = 16
 
 #: Exact-summation ceiling: sums of grid values are exact in float64 as
 #: long as |sum| / grid_lsb stays within the 53-bit mantissa.  Every
-#: formulation switch and fold is gated on this bound.
+#: fused accumulation and fold is gated on this bound.
 _EXACT_SUM_LIMIT = float(2**53)
 
 #: int64-cast guard for raw-domain emits (one bit of headroom, matching
@@ -84,18 +92,16 @@ _RAW_GUARD = float(2**62)
 #: planning pass).
 _EXACT_GRID_WIDTH = 52
 
-#: Convolutions with at least this many input channels default to the
-#: taps-as-one-flat-GEMM formulation before auto-tuning (one large 2-D
-#: contiguous GEMM over the padded buffer plus k shifted adds); below it
-#: the im2col GEMM wins (tiny contraction dimension).  Formulation choice
-#: cannot affect bits: exact sums are associative — which is also what
-#: makes timing-based tuning safe.
-_TAPFLAT_MIN_CHANNELS = 8
 
-#: Synthetic batch size / repetitions the conv-formulation auto-tuner
-#: times each candidate with at compile time.
-_TUNE_BATCH = 16
-_TUNE_REPS = 2
+def _dgemm():
+    """scipy's BLAS ``dgemm``, imported on first use.
+
+    Only plans with a conv step ever call this, so dense-only plans never
+    import scipy, and the f2py object (which cannot be pickled) is never
+    stored on a plan that worker processes receive by pickle.
+    """
+    from scipy.linalg.blas import dgemm
+    return dgemm
 
 
 # ----------------------------------------------------------------------
@@ -117,6 +123,18 @@ def _mac_bound(w2: np.ndarray, bias: Optional[np.ndarray],
     if bias is not None:
         col = col + np.abs(bias)
     return float(col.max()) if col.size else 0.0
+
+
+def _grid(values) -> float:
+    """Largest power of two every entry of *values* is an integer
+    multiple of (``inf`` when all are zero)."""
+    v = np.abs(np.asarray(values, dtype=np.float64)).ravel()
+    v = v[v != 0.0]
+    if not v.size:
+        return float("inf")
+    mant, exp = np.frexp(v)  # v = mant · 2**exp, mant·2**53 an integer
+    ints = (mant * 2.0**53).astype(np.int64)
+    return float(((ints & -ints) * np.exp2(exp - 53.0)).min())
 
 
 def _cast_identity(fmt: FixedPointFormat, prod_frac: int,
@@ -230,9 +248,12 @@ class CompileReport:
 class _Step:
     """One node of the compiled plan.
 
-    ``run(ins, out)`` consumes producer streams and returns the output
-    array; when the arena planner assigned this step a slot, ``out`` is a
-    preallocated contiguous view the step must write into (and return).
+    ``run(ins, out)`` consumes producer streams and returns its output
+    buffer; when the arena planner assigned this step a slot, ``out`` is
+    a preallocated contiguous view the step must write into (and return).
+    A step whose stream a conv reads directly keeps ``pad`` zero rows
+    before and after every frame (see :class:`_MACStep`); the plan hands
+    every other consumer the view of the data rows.
     """
 
     #: True when the output is a view of the input (shares its slot)
@@ -249,25 +270,42 @@ class _Step:
         #: kernel they absorbed) — lets profiling reports line compiled
         #: step times up against the naive per-kernel times.
         self.covers = [name]
+        #: zero rows before/after each frame of the output buffer
+        self.pad = (0, 0)
+        #: per input: True when this step reads the producer's whole
+        #: zero-edged buffer rather than its data rows
+        self.reads_padded = [False] * len(self.inputs)
         self._scr: Dict[tuple, np.ndarray] = {}
 
     @property
-    def out_words(self) -> int:
-        return int(np.prod(self.out_shape)) if self.out_shape else 1
+    def slot_shape(self) -> Tuple[int, ...]:
+        """Per-frame shape of the output buffer, edge rows included."""
+        if self.pad == (0, 0):
+            return self.out_shape
+        return (sum(self.pad) + self.out_shape[0],) + self.out_shape[1:]
 
-    def _scratch(self, tag: str, shape: Tuple[int, ...],
-                 dtype=np.float64) -> np.ndarray:
-        key = (tag, shape, np.dtype(dtype).char)
+    def _scratch(self, tag: str, n: int, shape: Tuple[int, ...],
+                 dtype=np.float64, zero: bool = False) -> np.ndarray:
+        """The first *n* frames of a persistent buffer sized, like the
+        arena, by the largest batch seen (not one per batch size)."""
+        key = (tag, np.dtype(dtype).char)
         buf = self._scr.get(key)
-        if buf is None:
-            buf = np.empty(shape, dtype)
+        if buf is None or buf.shape[0] < n or buf.shape[1:] != shape:
+            buf = (np.zeros if zero else np.empty)((n,) + tuple(shape), dtype)
             self._scr[key] = buf
-        return buf
+        return buf[:n]
 
-    def _out(self, n: int, out: Optional[np.ndarray]) -> np.ndarray:
+    def _out(self, n: int, out: Optional[np.ndarray]):
+        """``(buffer, data rows)`` of this call's output, edges zeroed
+        (arena regions are shared, so on every call)."""
         if out is None:
-            return np.empty((n,) + self.out_shape)
-        return out
+            out = np.empty((n,) + self.slot_shape)
+        pl, pr = self.pad
+        if not (pl or pr):
+            return out, out
+        out[:, :pl] = 0.0
+        out[:, pl + self.out_shape[0]:] = 0.0
+        return out, out[:, pl:pl + self.out_shape[0]]
 
     def _cast(self, dst: np.ndarray, fmt: FixedPointFormat, fast: bool,
               tag: str = "raw") -> None:
@@ -286,7 +324,7 @@ class _Step:
             _round_inplace(dst, fmt.rounding)
             np.multiply(dst, fmt.lsb, out=dst)
         else:
-            raw = self._scratch(tag, dst.shape, np.int64)
+            raw = self._scratch(tag, dst.shape[0], dst.shape[1:], np.int64)
             quantize_(dst, fmt, raw_out=raw)
 
     def run(self, ins: List[np.ndarray],
@@ -316,11 +354,12 @@ class _InputStep(_Step):
 
     def run(self, ins, out):
         (x,) = ins
-        out = self._out(x.shape[0], out)
-        np.copyto(out, x)
-        raw = self._scratch("raw", out.shape, np.int64)
-        quantize_(out, self.fmt, raw_out=raw)
-        return out
+        n = x.shape[0]
+        buf, dst = self._out(n, out)
+        np.copyto(dst, x)
+        raw = self._scratch("raw", n, self.out_shape, np.int64)
+        quantize_(dst, self.fmt, raw_out=raw)
+        return buf
 
 
 class _LUTStep(_Step):
@@ -342,19 +381,20 @@ class _LUTStep(_Step):
 
     def run(self, ins, out):
         (x,) = ins
+        n = x.shape[0]
         # x sits exactly on the producer grid, so x/lsb is an exact
-        # integer-valued float and the truncating cast recovers the raw
-        # word losslessly.  Raw words of a <=16-bit format always fit
-        # int32; the narrower index halves the gather's memory traffic.
-        tmp = self._scratch("tmp", x.shape)
-        idx = self._scratch("idx", x.shape, np.int32)
+        # integer and the truncating cast recovers the raw word.  Indices
+        # are intp: np.take converts any other index type first.
+        tmp = self._scratch("tmp", n, x.shape[1:])
+        idx = self._scratch("idx", n, x.shape[1:], np.intp)
         np.multiply(x, self.inv_lsb, out=tmp)
         np.copyto(idx, tmp, casting="unsafe")
         idx -= self.raw_min
-        if out is None:
-            return self.table[idx]
-        np.take(self.table, idx, out=out)
-        return out
+        if out is None and self.pad == (0, 0):
+            return self.table[idx]  # element-wise: any input shape
+        buf, dst = self._out(n, out)
+        np.take(self.table, idx, out=dst)
+        return buf
 
 
 class _SoftmaxStep(_Step):
@@ -384,22 +424,23 @@ class _SoftmaxStep(_Step):
 
     def run(self, ins, out):
         (x,) = ins
-        out = self._out(x.shape[0], out)
-        z = self._scratch("z", x.shape)
-        idx = self._scratch("idx", x.shape, np.int64)
+        n = x.shape[0]
+        buf, dst = self._out(n, out)
+        z = self._scratch("z", n, x.shape[1:])
+        idx = self._scratch("idx", n, x.shape[1:], np.intp)
         np.subtract(x, np.max(x, axis=-1, keepdims=True), out=z)
         np.multiply(z, self.inv_lsb, out=z)
         np.copyto(idx, z, casting="unsafe")
         idx -= self.zmin
-        np.take(self.table, idx, out=out)
-        out /= out.sum(axis=-1, keepdims=True)
-        raw = self._scratch("raw", out.shape, np.int64)
-        quantize_(out, self.kernel.config.result, raw_out=raw)
-        return out
+        np.take(self.table, idx, out=dst)
+        dst /= dst.sum(axis=-1, keepdims=True)
+        raw = self._scratch("raw", n, self.out_shape, np.int64)
+        quantize_(dst, self.kernel.config.result, raw_out=raw)
+        return buf
 
 
 class _MACStep(_Step):
-    """Fused matmul/im2col + bias + requantize (+ activation gather).
+    """Fused dense/conv + bias + requantize (+ activation gather).
 
     ``mode='raw'``: the accumulator cast was proven elidable, so the GEMM
     contracts weights pre-scaled by ``1/lsb(result)`` (an exact power-of-2
@@ -407,9 +448,15 @@ class _MACStep(_Step):
     a fused activation table gathers from those words, otherwise a single
     multiply by ``lsb`` emits the value-domain stream.
 
-    ``mode='naive'``: the classic accum-cast → result-cast pipeline (with
-    persistent int64 scratch), still benefiting from the formulation
-    choice and the arena.
+    ``mode='naive'``: the classic accum-cast → result-cast pipeline.
+
+    A conv runs one BLAS GEMM per tap and operand over the flattened
+    rows of the operand's zero-edged buffer (``P = T + k − 1`` rows per
+    frame), accumulating in place into a buffer pre-filled with the
+    bias: output row ``f·P + t`` is frame ``f``'s position ``t``, and the
+    ``k − 1`` rows between frames are never read.  A concat folded into
+    the conv arrives as several operands, each contracting its own slice
+    of the input channels (split-K).
     """
 
     def __init__(self, *, name: str, inputs: Sequence[str],
@@ -417,14 +464,14 @@ class _MACStep(_Step):
                  weight: np.ndarray, bias: Optional[np.ndarray],
                  accum: FixedPointFormat, result: FixedPointFormat,
                  mode: str, conv: Optional[dict] = None,
+                 splits: Sequence[Tuple[int, int]] = (),
                  act_table: Optional[np.ndarray] = None):
         super().__init__(name, inputs, out_shape)
         self.mac_shape = tuple(mac_shape)  # per-frame shape of the MAC output
         self.mode = mode
         self.result = result
         self.accum = accum
-        self.conv = conv  # {'k', 'pad_left', 'in_len', 'in_ch', 'same',
-        #                   'formulation'}
+        self.conv = conv  # {'k', 'pad', 'formulation'}
         self.act_table = act_table
 
         if mode == "raw":
@@ -441,30 +488,26 @@ class _MACStep(_Step):
                               and self.round_op == "floor")
             if self.idx_folded:
                 offset -= result.raw_min
-            self.w_eff = np.ascontiguousarray(weight * scale)
+            w_eff = weight * scale
             if bias is not None:
                 self.badd = np.ascontiguousarray(bias * scale + offset)
             else:
                 self.badd = offset if offset else None
         else:
-            self.w_eff = np.ascontiguousarray(weight)
+            w_eff = weight
             self.badd = None if bias is None else np.ascontiguousarray(bias)
             self.round_op = None
             self.idx_folded = False
-        self.w2_eff = (self.w_eff.reshape(-1, self.w_eff.shape[-1])
-                       if self.w_eff.ndim == 3 else self.w_eff)
-        if conv is not None:
-            k = conv["k"]
-            taps = self.w_eff.reshape(k, -1, self.w_eff.shape[-1])
-            self.w_taps = np.ascontiguousarray(taps)
-            self.w_flat = np.ascontiguousarray(
-                np.concatenate([taps[j] for j in range(k)], axis=1))
+        if conv is None:
+            self.w_eff = np.ascontiguousarray(w_eff)
+        else:
+            # per operand, per tap: the (channels, filters) slice stored
+            # transposed, i.e. Fortran-ordered as BLAS reads it
+            self.w_taps = [[np.ascontiguousarray(w_eff[j, a:b]).T
+                            for j in range(conv["k"])] for a, b in splits]
         #: overflow op on the raw words (None when the bound proves the
         #: words in range)
         self.overflow: Optional[Overflow] = None
-        #: index/raw scratch dtype — _build_mac_step narrows it to int32
-        #: when the accumulator bound provably fits
-        self.idx_dtype = np.int64
         #: set by _build_mac_step when the truncating int cast provably
         #: equals the floor (non-negative folded index, or a saturating
         #: clamp that absorbs the off-by-one on negative non-integers)
@@ -480,125 +523,73 @@ class _MACStep(_Step):
         self.act_table = quantize(self.act_table, cast[0])
         return True
 
-    def _padded(self, x: np.ndarray) -> np.ndarray:
-        """Persistent zero-edged padding buffer ('same') or a contiguous
-        view/copy of the input ('valid')."""
-        n = x.shape[0]
-        k = self.conv["k"]
-        left = self.conv["pad_left"]
-        in_len, in_ch = self.conv["in_len"], self.conv["in_ch"]
-        if not self.conv["same"]:
-            if x.flags.c_contiguous:
-                return x
-            xp = self._scratch("pad", x.shape)
-            np.copyto(xp, x)
-            return xp
-        shape = (n, in_len + k - 1, in_ch)
-        fresh = ("pad", shape, np.dtype(np.float64).char) not in self._scr
-        xp = self._scratch("pad", shape)
-        if fresh:
-            xp[:] = 0.0  # the edges stay zero forever after
-        xp[:, left:left + in_len, :] = x
-        return xp
-
     # -- GEMM ----------------------------------------------------------
-    def _accumulate(self, x: np.ndarray, acc: np.ndarray) -> None:
-        n = x.shape[0]
-        if self.conv is None:
-            if x.ndim > 2 and x.flags.c_contiguous:
-                np.matmul(x.reshape(-1, x.shape[-1]), self.w2_eff,
-                          out=acc.reshape(-1, acc.shape[-1]))
-            else:
-                np.matmul(x, self.w2_eff, out=acc)
-            return
-        k = self.conv["k"]
-        in_ch = self.conv["in_ch"]
-        t = self.mac_shape[0]
-        f = self.mac_shape[-1]
-        xp = self._padded(x)
-        pad_len = xp.shape[1]
-        form = self.conv["formulation"]
-        if form == "tapflat":
-            y = self._scratch("taps", (n * pad_len, k * f))
-            np.matmul(xp.reshape(n * pad_len, in_ch), self.w_flat, out=y)
-            yv = y.reshape(n, pad_len, k, f)
-            np.copyto(acc, yv[:, 0:t, 0])
-            for j in range(1, k):
-                acc += yv[:, j:j + t, j]
-        elif form == "tap3d":
-            tap = self._scratch("tap", (n, t, f))
-            np.matmul(xp[:, 0:t], self.w_taps[0], out=acc)
-            for j in range(1, k):
-                np.matmul(xp[:, j:j + t], self.w_taps[j], out=tap)
-                acc += tap
-        else:  # im2col
-            from numpy.lib.stride_tricks import sliding_window_view
-            windows = sliding_window_view(xp, k, axis=1)
-            col = windows.transpose(0, 1, 3, 2).reshape(n, t, -1)
-            np.matmul(col, self.w2_eff, out=acc)
+    def _dense(self, x: np.ndarray, n: int):
+        acc = self._scratch("acc", n, self.mac_shape)
+        if x.ndim > 2 and x.flags.c_contiguous:
+            np.matmul(x.reshape(-1, x.shape[-1]), self.w_eff,
+                      out=acc.reshape(-1, acc.shape[-1]))
+        else:
+            np.matmul(x, self.w_eff, out=acc)
+        if self.badd is not None:
+            acc += self.badd
+        return acc, acc
 
-    def tune(self) -> None:
-        """Time each conv formulation on a synthetic batch and keep the
-        fastest.  Safe because the formulations are bit-identical (exact
-        sums are associative) — only wall time differs, and the best
-        choice varies with layer shape and BLAS behaviour in ways no
-        static heuristic captures.
-        """
-        if self.conv is None:
-            return
-        n = _TUNE_BATCH
-        x = np.full((n, self.conv["in_len"], self.conv["in_ch"]), 0.5)
-        acc = np.empty((n,) + self.mac_shape)
-        best = None
-        best_dt = None
-        for form in ("im2col", "tapflat", "tap3d"):
-            self.conv["formulation"] = form
-            self._accumulate(x, acc)  # warm-up (and scratch allocation)
-            t0 = time.perf_counter()
-            for _ in range(_TUNE_REPS):
-                self._accumulate(x, acc)
-            dt = time.perf_counter() - t0
-            if best_dt is None or dt < best_dt:
-                best, best_dt = form, dt
-        self.conv["formulation"] = best
-        self._scr.clear()  # drop the tuning-batch-sized scratch buffers
+    def _conv(self, ins: List[np.ndarray], n: int):
+        """Per-tap GEMMs; returns (valid outputs, every computed row)."""
+        k = self.conv["k"]
+        pl, pr = self.conv["pad"]
+        t, f = self.mac_shape
+        p = t + k - 1
+        m = n * p - (k - 1)
+        acc = self._scratch("acc", n, (p, f))
+        rows_out = acc.reshape(n * p, f)[:m]
+        rows_out[...] = 0.0 if self.badd is None else self.badd
+        gemm = _dgemm()
+        c = rows_out.T  # Fortran view: BLAS accumulates in place
+        for i, (x, taps) in enumerate(zip(ins, self.w_taps)):
+            if not self.reads_padded[i] and (pl or pr
+                                             or not x.flags.c_contiguous):
+                # the producer could not write this layout: copy into a
+                # zero-edged buffer whose edges are never written
+                xp = self._scratch(f"pad{i}", n, (p, x.shape[2]), zero=True)
+                xp[:, pl:pl + x.shape[1]] = x
+                x = xp
+            rows = x.reshape(n * p, x.shape[2])
+            for j, w in enumerate(taps):
+                gemm(1.0, w, rows[j:j + m].T, beta=1.0, c=c, overwrite_c=1)
+        return acc[:, :t], rows_out
 
     # -- full pipeline -------------------------------------------------
     def run(self, ins, out):
-        (x,) = ins
-        n = x.shape[0]
-        fused = self.act_table is not None
-        if fused:
-            acc = self._scratch("acc", (n,) + self.mac_shape)
-        elif out is None:
-            # no arena slot: the output escapes to consumers, so it must
-            # be a fresh array (a persistent scratch would be clobbered
-            # by the next call).
-            acc = np.empty((n,) + self.mac_shape)
+        n = ins[0].shape[0]
+        if self.conv is None:
+            acc, rows = self._dense(ins[0], n)
         else:
-            acc = out
-        self._accumulate(x, acc)
-        if self.badd is not None:
-            acc += self.badd
+            acc, rows = self._conv(ins, n)
+        buf, dst = self._out(n, out)
 
         if self.mode == "naive":
-            raw = self._scratch("raw", acc.shape, np.int64)
+            raw = self._scratch("raw", n, self.mac_shape, np.int64)
             quantize_(acc, self.accum, raw_out=raw)
             quantize_(acc, self.result, raw_out=raw)
-            return acc
+            np.copyto(dst, acc)
+            return buf
 
-        # raw emit: acc already holds value/lsb; one rounding pass.
+        # raw emit: acc holds value/lsb; one rounding pass over every
+        # computed row (contiguous, and all of them exact sums).
         fmt = self.result
+        fused = self.act_table is not None
         if self.round_op == "rint":
-            np.rint(acc, out=acc)
+            np.rint(rows, out=rows)
         elif not (fused and self.trunc_ok):
-            np.floor(acc, out=acc)
+            np.floor(rows, out=rows)
         # else: proven at build time that the truncating int cast below
         # gives the same index the floor would.
         if fused:
             # acc already holds the gather index when the origin shift
             # was folded into the bias add; otherwise shift here.
-            ri = self._scratch("ri", acc.shape, self.idx_dtype)
+            ri = self._scratch("ri", n, self.mac_shape, np.intp)
             np.copyto(ri, acc, casting="unsafe")
             if not self.idx_folded:
                 ri -= fmt.raw_min
@@ -608,18 +599,16 @@ class _MACStep(_Step):
                 ri &= (1 << fmt.width) - 1
             elif self.overflow is not None:
                 np.clip(ri, 0, fmt.raw_max - fmt.raw_min, out=ri)
-            if out is None:
-                return self.act_table[ri]
-            np.take(self.act_table, ri, out=out)
-            return out
+            np.take(self.act_table, ri, out=dst)
+            return buf
         if self.overflow is None:
-            np.multiply(acc, fmt.lsb, out=acc)
-            return acc
-        ri = self._scratch("ri", acc.shape, np.int64)
+            np.multiply(acc, fmt.lsb, out=dst)
+            return buf
+        ri = self._scratch("ri", n, self.mac_shape, np.int64)
         np.copyto(ri, acc, casting="unsafe")
         self._apply_overflow(ri, fmt)
-        np.multiply(ri, fmt.lsb, out=acc)
-        return acc
+        np.multiply(ri, fmt.lsb, out=dst)
+        return buf
 
     def _apply_overflow(self, ri: np.ndarray, fmt: FixedPointFormat) -> None:
         if self.overflow is Overflow.WRAP:
@@ -653,13 +642,13 @@ class _ConcatStep(_Step):
             self.parts.append((a, b, cast))
 
     def run(self, ins, out):
-        out = self._out(ins[0].shape[0], out)
+        buf, dst = self._out(ins[0].shape[0], out)
         for x, (a, b, cast) in zip(ins, self.parts):
-            dst = out[..., a:b]
-            np.copyto(dst, x)
+            part = dst[..., a:b]
+            np.copyto(part, x)
             if cast is not None:
-                self._cast(dst, cast[0], cast[1], tag=f"raw{a}")
-        return out
+                self._cast(part, cast[0], cast[1], tag=f"raw{a}")
+        return buf
 
 
 class _CastOutMixin:
@@ -677,6 +666,8 @@ class _CastOutMixin:
 
 
 class _MaxPoolStep(_CastOutMixin, _Step):
+    """Window maximum as the element-wise max of strided slices."""
+
     def __init__(self, kernel: MaxPoolKernel, in_fmt: FixedPointFormat):
         super().__init__(kernel.name, kernel.input_names, kernel.output_shape)
         self.pool = kernel.pool_size
@@ -686,14 +677,15 @@ class _MaxPoolStep(_CastOutMixin, _Step):
 
     def run(self, ins, out):
         (x,) = ins
-        n = x.shape[0]
-        out = self._out(n, out)
-        t, c = self.out_shape
-        v = x[:, : t * self.pool, :].reshape(n, t, self.pool, c)
-        np.max(v, axis=2, out=out)
+        buf, dst = self._out(x.shape[0], out)
+        p = self.pool
+        span = self.out_shape[0] * p
+        np.maximum(x[:, 0:span:p], x[:, 1:span:p], out=dst)
+        for j in range(2, p):
+            np.maximum(dst, x[:, j:span:p], out=dst)
         if self.cast is not None:
-            self._cast(out, self.cast[0], self.cast[1])
-        return out
+            self._cast(dst, self.cast[0], self.cast[1])
+        return buf
 
 
 class _UpSampleStep(_CastOutMixin, _Step):
@@ -706,13 +698,14 @@ class _UpSampleStep(_CastOutMixin, _Step):
 
     def run(self, ins, out):
         (x,) = ins
-        n = x.shape[0]
-        out = self._out(n, out)
-        t, c = x.shape[1], x.shape[2]
-        out.reshape(n, t, self.size, c)[:] = x[:, :, np.newaxis, :]
+        n, t, c = x.shape
+        buf, dst = self._out(n, out)
+        # splitting the row axis is always a view, even of the data rows
+        # of a zero-edged buffer
+        dst.reshape(n, t, self.size, c)[:] = x[:, :, np.newaxis, :]
         if self.cast is not None:
-            self._cast(out, self.cast[0], self.cast[1])
-        return out
+            self._cast(dst, self.cast[0], self.cast[1])
+        return buf
 
 
 class _AliasStep(_Step):
@@ -740,10 +733,10 @@ class _CopyCastStep(_Step):
     def run(self, ins, out):
         (x,) = ins
         n = x.shape[0]
-        out = self._out(n, out)
-        np.copyto(out, x.reshape((n,) + self.out_shape))
-        self._cast(out, self.fmt, self.fast)
-        return out
+        buf, dst = self._out(n, out)
+        np.copyto(dst, x.reshape((n,) + self.out_shape))
+        self._cast(dst, self.fmt, self.fast)
+        return buf
 
 
 # ----------------------------------------------------------------------
@@ -757,6 +750,7 @@ class CompiledPlan:
         self.steps = steps
         self.report = report
         self._dies_after = self._plan_liveness()
+        self._in_rows = self._plan_inputs()
         self._slots: Dict[str, Tuple[int, int, Tuple[int, ...]]] = {}
         if use_arena:
             self.report.arena_words = self._plan_arena()
@@ -775,6 +769,22 @@ class CompiledPlan:
             if dep != "__input__":
                 dies[idx].append(dep)
         return dies
+
+    def _plan_inputs(self) -> List[List[tuple]]:
+        """Per step and input: ``(producer, rows)``; ``rows`` slices the
+        data rows out of a zero-edged buffer (``None``: pass it whole)."""
+        rows_of = {s.name: slice(s.pad[0], s.pad[0] + s.out_shape[0])
+                   for s in self.steps if s.pad != (0, 0)}
+        return [[(dep, None if whole else rows_of.get(dep))
+                 for dep, whole in zip(s.inputs, s.reads_padded)]
+                for s in self.steps]
+
+    def held_bytes(self) -> int:
+        """Bytes held between calls: the arena plus every step's
+        scratch."""
+        arena = 0 if self._arena is None else self._arena.nbytes
+        return arena + sum(buf.nbytes for step in self.steps
+                           for buf in step._scr.values())
 
     def _plan_arena(self) -> int:
         """First-fit static offset assignment over the liveness plan.
@@ -818,13 +828,13 @@ class CompiledPlan:
                     region_of[step.name] = region
                     refs[region] += 1
             elif not step.heap_output:
-                size = step.out_words
+                size = int(np.prod(step.slot_shape))
                 off = alloc(size)
                 high_water = max(high_water, off + size)
                 region = (off, size)
                 region_of[step.name] = region
                 refs[region] = 1
-                self._slots[step.name] = (off, size, step.out_shape)
+                self._slots[step.name] = (off, size, step.slot_shape)
             for dep in self._dies_after[idx]:
                 if dep == out_name or dep not in region_of:
                     continue
@@ -871,8 +881,9 @@ class CompiledPlan:
         timed = profile or tracer is not None
         times: Optional[Dict[str, float]] = {} if profile else None
         for idx, step in enumerate(self.steps):
-            ins = [x if dep == "__input__" else values[dep]
-                   for dep in step.inputs]
+            ins = [x if dep == "__input__"
+                   else values[dep] if rows is None else values[dep][:, rows]
+                   for dep, rows in self._in_rows[idx]]
             out = views.get(step.name)
             if timed:
                 t0 = time.perf_counter()
@@ -986,23 +997,25 @@ def _build_mac_step(model, mac, *, out_name: str, weight, bias,
                     accum: FixedPointFormat, result: FixedPointFormat,
                     bound: float, prod_frac: int,
                     consumers: Dict[str, List[HLSKernel]],
-                    report: CompileReport, absorbed: set) -> Optional[_Step]:
+                    report: CompileReport, absorbed: set,
+                    concat: Optional[_ConcatStep] = None) -> Optional[_Step]:
     """Lower one Dense/Conv (possibly BN-folded) to a :class:`_MACStep`,
-    fusing a following activation LUT when provable.  Returns ``None``
-    when the exact-sum precondition fails (caller falls back)."""
+    fusing a following activation LUT when provable, and for a conv the
+    cast-free *concat* that feeds it (split-K).  Returns ``None`` when an
+    exact-sum precondition fails (caller falls back)."""
     if bound / 2.0 ** (-prod_frac) > _EXACT_SUM_LIMIT:
         report.fallbacks[out_name] = "accumulator exceeds exact-sum window"
         return None
 
     conv = None
+    inputs, splits = mac.input_names, [(0, int(mac.input_shapes[0][-1]))]
+    if concat is not None:
+        inputs, splits = concat.inputs, [(a, b) for a, b, _ in concat.parts]
     if isinstance(mac, Conv1DKernel):
-        in_len, in_ch = mac.input_shapes[0]
         k = mac.kernel_size
-        conv = {"k": k, "pad_left": (k - 1) // 2, "in_len": int(in_len),
-                "in_ch": int(in_ch), "same": mac.padding == "same",
-                "formulation": ("tapflat"
-                                if int(in_ch) >= _TAPFLAT_MIN_CHANNELS
-                                else "im2col")}
+        pad = ((k - 1) // 2, k - 1 - (k - 1) // 2)
+        conv = {"k": k, "pad": pad if mac.padding == "same" else (0, 0),
+                "formulation": "per_tap"}
 
     raw_ok = (
         _accum_cast_skippable(accum, result, prod_frac, bound)
@@ -1022,13 +1035,13 @@ def _build_mac_step(model, mac, *, out_name: str, weight, bias,
     act_table = _build_lut(act, result) if act is not None else None
     step = _MACStep(
         name=act.name if act is not None else out_name,
-        inputs=mac.input_names,
+        inputs=inputs,
         out_shape=(act.output_shape if act is not None
                    else (model.get_kernel(out_name).output_shape
                          if out_name != mac.name else mac.output_shape)),
         mac_shape=mac.output_shape,
         weight=weight, bias=bias, accum=accum, result=result,
-        mode=mode, conv=conv, act_table=act_table,
+        mode=mode, conv=conv, splits=splits, act_table=act_table,
     )
     if mode == "raw":
         raw_bound = bound / result.lsb + 1.0
@@ -1059,10 +1072,20 @@ def _build_mac_step(model, mac, *, out_name: str, weight, bias,
                 # truncation and floor differ by one but both land <= 0
                 # and clip to the same bound.
                 step.trunc_ok = True
-        if idx_max + 1.0 < float(2**31):
-            step.idx_dtype = np.int32
+    if conv is not None:
+        # The conv pre-fills its accumulator with the bias, so every
+        # partial sum of bias and taps, in any order, must be exact on
+        # the common grid of the terms and the bias.
+        scale = 1.0 / result.lsb if mode == "raw" else 1.0
+        badd = 0.0 if step.badd is None else step.badd
+        grid = min(2.0 ** -prod_frac * scale, _grid(badd))
+        if (bound * scale + np.abs(badd).max()) / grid > _EXACT_SUM_LIMIT:
+            report.fallbacks[out_name] = "conv partial sums leave exact window"
+            return None
+    if mode == "raw":
         report.fused.append(out_name)
-    covers = [mac.name]
+    covers = [concat.name] if concat is not None else []
+    covers.append(mac.name)
     if out_name != mac.name:
         covers.append(out_name)
     if act is not None:
@@ -1073,31 +1096,16 @@ def _build_mac_step(model, mac, *, out_name: str, weight, bias,
     return step
 
 
-#: Conv formulations a caller may force (``None``/"auto" = wall-clock
-#: auto-tune; any forced choice is bit-identical, only speed differs).
-CONV_FORMULATIONS = ("im2col", "tapflat", "tap3d")
-
-
-def compile_model(model, level: int,
-                  conv_formulation: Optional[str] = None) -> CompiledPlan:
+def compile_model(model, level: int) -> CompiledPlan:
     """Build the compiled plan for *model* at the given level.
 
     * level 1 — local rewrites: activation LUTs, fused MAC+requantize,
-      per-operand concat casts, lowered routing steps.
+      per-tap conv GEMMs over zero-edged streams with cast-free concats
+      folded in, per-operand concat casts, lowered routing steps.
     * level 2 — additionally batch-norm folding and the static arena.
 
-    ``conv_formulation`` forces every conv MAC step onto one formulation
-    (``"im2col"``/``"tapflat"``/``"tap3d"``) and skips the wall-clock
-    auto-tuner — the deterministic choice DSE sweeps need.  ``None`` or
-    ``"auto"`` keeps the auto-tuned default.
+    Nothing here is timed: compiling one model twice yields the same plan.
     """
-    if conv_formulation in ("auto",):
-        conv_formulation = None
-    if conv_formulation is not None and conv_formulation not in CONV_FORMULATIONS:
-        raise ValueError(
-            f"conv_formulation must be one of {CONV_FORMULATIONS} or 'auto', "
-            f"got {conv_formulation!r}"
-        )
     report = CompileReport(level=level)
     consumers: Dict[str, List[HLSKernel]] = {}
     for kernel in model.kernels:
@@ -1126,6 +1134,7 @@ def compile_model(model, level: int,
     steps: List[_Step] = []
     built: Dict[str, _Step] = {}
     absorbed: set = {f[0].name for f in fold.values()}
+    concats: Dict[str, _ConcatStep] = {}  # folded into their conv
 
     for kernel in model.kernels:
         if kernel.name in absorbed:
@@ -1136,6 +1145,7 @@ def compile_model(model, level: int,
             step = _InputStep(kernel)
 
         elif isinstance(kernel, (DenseKernel, Conv1DKernel)):
+            concat = concats.pop(kernel.input_names[0], None)
             if kernel.name in fold:
                 bn, weight, bias, bound, prod_frac = fold[kernel.name]
                 step = _build_mac_step(
@@ -1143,12 +1153,11 @@ def compile_model(model, level: int,
                     bias=bias, accum=bn.config.accum,
                     result=bn.config.result, bound=bound,
                     prod_frac=prod_frac, consumers=consumers,
-                    report=report, absorbed=absorbed)
+                    report=report, absorbed=absorbed, concat=concat)
                 if step is None:  # un-fold: run both kernels naively
                     report.folded.remove(bn.name)
                     del fold[kernel.name]
                     absorbed.discard(bn.name)
-                    step = _KernelStep(kernel)
             else:
                 in_fmt = _producer_fmt(model, kernel.input_names[0])
                 w_fmt = kernel.config.weight
@@ -1162,9 +1171,12 @@ def compile_model(model, level: int,
                     bias=kernel.weights.get("bias"),
                     accum=kernel.config.accum, result=kernel.config.result,
                     bound=bound, prod_frac=prod_frac, consumers=consumers,
-                    report=report, absorbed=absorbed)
-                if step is None:
-                    step = _KernelStep(kernel)
+                    report=report, absorbed=absorbed, concat=concat)
+            if step is None:
+                if concat is not None:  # the naive conv reads the concat
+                    steps.append(concat)
+                    built[concat.name] = concat
+                step = _KernelStep(kernel)
 
         elif kernel.supports_lut:
             in_fmt = _producer_fmt(model, kernel.input_names[0])
@@ -1196,6 +1208,13 @@ def compile_model(model, level: int,
                 if cast is not None and _push_cast_up(
                         model, built, consumers, dep, cast, kernel):
                     step.parts[i] = (a, b, None)
+            # Cast-free and read by one conv only: never built, the conv
+            # contracts each operand separately (split-K).
+            outs = consumers.get(kernel.name, [])
+            if (len(outs) == 1 and isinstance(outs[0], Conv1DKernel)
+                    and all(cast is None for _, _, cast in step.parts)):
+                concats[kernel.name] = step
+                continue
 
         elif isinstance(kernel, MaxPoolKernel):
             step = _MaxPoolStep(
@@ -1221,11 +1240,22 @@ def compile_model(model, level: int,
     # Fused steps absorbed downstream kernels that already had an entry
     # scheduled?  No: absorption is decided before the absorbed kernel is
     # reached (topological order), so `steps` is consistent.
+    #
+    # A conv reads each operand as the flattened rows of a buffer with
+    # zero edge rows around every frame.  The first conv to claim a stream
+    # sets its edges and the producer writes them in place; an operand
+    # that cannot take the layout (naive kernel output, alias, another
+    # conv's claim) is copied into the conv's own zero-edged scratch.
+    claimed: Dict[str, tuple] = {}
     for step in steps:
-        if isinstance(step, _MACStep):
-            if conv_formulation is not None:
-                if step.conv is not None:
-                    step.conv["formulation"] = conv_formulation
-            else:
-                step.tune()
+        if not (isinstance(step, _MACStep) and step.conv):
+            continue
+        for i, dep in enumerate(step.inputs):
+            prod = built.get(dep)
+            if prod is None or prod.heap_output or prod.aliases_input:
+                continue
+            pad = step.conv["pad"]
+            if claimed.setdefault(dep, pad) == pad:
+                prod.pad = pad
+                step.reads_padded[i] = True
     return CompiledPlan(steps, report, use_arena=level >= 2)

@@ -201,7 +201,7 @@ class HLSModel:
     # ------------------------------------------------------------------
     # Compilation
     # ------------------------------------------------------------------
-    def compile(self, level: int = 2, conv_formulation=None):
+    def compile(self, level: int = 2):
         """Install the bit-exact compiled plan (see :mod:`repro.hls.compile`).
 
         * ``level=0`` — uninstall: back to the naive liveness executor.
@@ -209,11 +209,6 @@ class HLSModel:
           MAC+requantize pipelines, per-operand concat casts.
         * ``level=2`` — additionally batch-norm folding (where provably
           exact) and the static arena planner.
-
-        ``conv_formulation`` forces all conv MAC steps onto one
-        formulation ("im2col"/"tapflat"/"tap3d") instead of wall-clock
-        auto-tuning — outputs are bit-identical either way, only speed
-        differs (ignored at level 0, which has no plan).
 
         Returns the :class:`~repro.hls.compile.CompileReport`.  Every
         rewrite is proven bit-identical at compile time or refused, so
@@ -228,7 +223,7 @@ class HLSModel:
             self._compiled = None
             self.compile_level = 0
             return CompileReport(level=0)
-        plan = compile_model(self, level, conv_formulation=conv_formulation)
+        plan = compile_model(self, level)
         self._compiled = plan
         self.compile_level = level
         return plan.report

@@ -9,7 +9,11 @@ freezes a copy of the ring — a **post-mortem** — and optionally appends
 it to a JSONL dump file.
 
 Entries are plain JSON-safe dicts; the JSONL form is one frame entry
-per line, so dumps stream into standard tooling (``jq``, pandas).
+per line, so dumps stream into standard tooling (``jq``, pandas).  A
+frame's spans are kept as the tracer's finished :class:`Span` objects
+and rendered into the entry only when the ring is read (a trip, a dump,
+:meth:`FlightRecorder.entries`), so recording costs no per-frame
+serialisation.
 """
 
 from __future__ import annotations
@@ -17,7 +21,10 @@ from __future__ import annotations
 import json
 from collections import deque
 from pathlib import Path
-from typing import Any, Deque, Dict, List, Mapping, Optional, Union
+from typing import (Any, Deque, Dict, List, Mapping, Optional, Sequence,
+                    Tuple, Union)
+
+from repro.obs.spans import Span
 
 __all__ = ["FlightRecorder"]
 
@@ -42,20 +49,31 @@ class FlightRecorder:
             raise ValueError(
                 f"max_postmortems must be >= 1, got {max_postmortems}")
         self.capacity = capacity
-        self._ring: Deque[Dict[str, Any]] = deque(maxlen=capacity)
+        #: (entry, the frame's spans or None), oldest first
+        self._ring: Deque[Tuple[Dict[str, Any], Optional[Sequence[Span]]]] = (
+            deque(maxlen=capacity))
         self.postmortems: Deque[Dict[str, Any]] = deque(maxlen=max_postmortems)
         self.frames_seen = 0
         self.trips = 0
 
     # ------------------------------------------------------------------
-    def append(self, entry: Mapping[str, Any]) -> None:
-        """Record one frame entry (a JSON-safe mapping)."""
-        self._ring.append(dict(entry))
+    def append(self, entry: Mapping[str, Any],
+               spans: Optional[Sequence[Span]] = None) -> None:
+        """Record one frame entry (a JSON-safe mapping).  *spans*, the
+        frame's finished spans, become the entry's ``"spans"`` list of
+        :meth:`Span.to_dict` payloads when the ring is read."""
+        self._ring.append((dict(entry), spans))
         self.frames_seen += 1
 
     def entries(self) -> List[Dict[str, Any]]:
         """Current ring contents, oldest first (copies)."""
-        return [dict(e) for e in self._ring]
+        out = []
+        for entry, spans in self._ring:
+            entry = dict(entry)
+            if spans is not None:
+                entry["spans"] = [s.to_dict() for s in spans]
+            out.append(entry)
+        return out
 
     def __len__(self) -> int:
         return len(self._ring)

@@ -29,30 +29,45 @@ BOARD_STAGES = ("preprocess", "write_input", "trigger", "ip_compute",
                 "irq", "read_output", "postprocess", "jitter")
 
 
-def _stats(durations: Sequence[float]) -> Dict[str, float]:
-    arr = np.asarray(durations, dtype=np.float64)
-    if arr.size == 0:
-        return {"count": 0, "mean_s": 0.0, "p50_s": 0.0, "p90_s": 0.0,
-                "p99_s": 0.0, "max_s": 0.0}
-    return {
-        "count": int(arr.size),
-        "mean_s": float(arr.mean()),
-        "p50_s": float(np.percentile(arr, 50)),
-        "p90_s": float(np.percentile(arr, 90)),
-        "p99_s": float(np.percentile(arr, 99)),
-        "max_s": float(arr.max()),
-    }
+def _stats(samples: Dict[str, Sequence[float]]
+           ) -> Dict[str, Dict[str, float]]:
+    """count / mean / p50 / p90 / p99 / max of every sample list.
+
+    Lists of equal length share one row-wise percentile call: each row is
+    reduced exactly as a one-dimensional call would reduce it, and a
+    snapshot summarises a dozen stages of one sample per frame each.
+    """
+    by_count: Dict[int, List[str]] = {}
+    for name, durations in samples.items():
+        by_count.setdefault(len(durations), []).append(name)
+    out: Dict[str, Dict[str, float]] = {}
+    for count, names in by_count.items():
+        if count == 0:
+            out.update((name, {"count": 0, "mean_s": 0.0, "p50_s": 0.0,
+                               "p90_s": 0.0, "p99_s": 0.0, "max_s": 0.0})
+                       for name in names)
+            continue
+        arr = np.array([samples[name] for name in names], dtype=np.float64)
+        p50, p90, p99 = np.percentile(arr, (50, 90, 99), axis=1)
+        mean, top = arr.mean(axis=1), arr.max(axis=1)
+        for i, name in enumerate(names):
+            out[name] = {"count": count, "mean_s": float(mean[i]),
+                         "p50_s": float(p50[i]), "p90_s": float(p90[i]),
+                         "p99_s": float(p99[i]), "max_s": float(top[i])}
+    return out
 
 
 def stage_summary(tracer: Tracer, names: Optional[Sequence[str]] = None,
                   clock: str = "sim") -> Dict[str, Dict[str, float]]:
     """Per-span-name latency statistics (exact percentiles over the
     recorded spans; unlike the fixed-bucket histograms these hold the
-    full per-run sample in hand)."""
+    full per-run sample in hand).  One pass over the span store, however
+    many names are summarised."""
+    durations = tracer.durations_by_name(clock)
     if names is None:
-        names = tracer.names()
-    return {name: _stats(tracer.durations_s(name, clock=clock))
-            for name in names}
+        names = sorted(durations)
+    stats = _stats({name: durations.get(name, ()) for name in names})
+    return {name: stats[name] for name in names}
 
 
 def per_frame_stage_sums(tracer: Tracer,

@@ -40,7 +40,7 @@ from typing import Any, Deque, Dict, Iterable, List, Optional
 __all__ = ["Span", "Tracer"]
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """One named interval.
 
@@ -134,15 +134,16 @@ class Tracer:
         parent = self._stack[-1] if self._stack else None
         if frame is None and parent is not None:
             frame = parent.frame
-        span = Span(name=name, span_id=self._next_id,
-                    parent_id=parent.span_id if parent is not None else None,
-                    frame=frame, wall_t0=wall_t0, wall_t1=wall_t1,
-                    sim_t0=sim_t0, sim_t1=sim_t1, attrs=attrs)
-        self._next_id += 1
-        return span
+        span_id = self._next_id
+        self._next_id = span_id + 1
+        # Positional: the hot path of every traced frame, and a keyword
+        # call costs Span.__init__ twice as much.
+        return Span(name, span_id,
+                    parent.span_id if parent is not None else None,
+                    frame, wall_t0, wall_t1, sim_t0, sim_t1, attrs)
 
     def _append(self, span: Span) -> None:
-        if self._spans.maxlen is not None and len(self._spans) == self._spans.maxlen:
+        if len(self._spans) == self._spans.maxlen:
             self.dropped += 1
         self._spans.append(span)
 
@@ -256,22 +257,29 @@ class Tracer:
         self.dropped = 0
 
     # ------------------------------------------------------------------
+    def durations_by_name(self, clock: str = "sim") -> Dict[str, List[float]]:
+        """:meth:`durations_s` of every recorded name in one pass over the
+        store (a name with no span on *clock* maps to an empty list)."""
+        if clock not in ("sim", "wall"):
+            raise ValueError(f"clock must be 'sim' or 'wall', got {clock!r}")
+        wall = clock == "wall"
+        out: Dict[str, List[float]] = {}
+        for s in self._spans:
+            durs = out.get(s.name)
+            if durs is None:
+                durs = out[s.name] = []
+            # the duration properties, inlined: a snapshot runs this loop
+            # over every stored span
+            if wall:
+                durs.append(s.wall_t1 - s.wall_t0)
+            elif s.sim_t0 is not None and s.sim_t1 is not None:
+                durs.append(s.sim_t1 - s.sim_t0)
+        return out
+
     def durations_s(self, name: str, clock: str = "sim") -> List[float]:
         """Durations of every span called *name* on one clock.
 
         ``clock="sim"`` skips wall-only spans; ``clock="wall"`` returns
         host durations for all of them.
         """
-        if clock not in ("sim", "wall"):
-            raise ValueError(f"clock must be 'sim' or 'wall', got {clock!r}")
-        out = []
-        for s in self._spans:
-            if s.name != name:
-                continue
-            if clock == "wall":
-                out.append(s.wall_duration_s)
-            else:
-                d = s.sim_duration_s
-                if d is not None:
-                    out.append(d)
-        return out
+        return self.durations_by_name(clock).get(name, [])

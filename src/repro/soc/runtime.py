@@ -609,6 +609,10 @@ class CentralNodeRuntime:
 
             if obs is not None:
                 self._observe_frame(record, obs)
+        if obs is not None:
+            # The mirror is idempotent over monotone counters, so folding
+            # once per call leaves the registry as a per-frame fold would.
+            fold_health_counters(self.counters, obs.metrics)
         self.records.extend(new_records)
         self._tally(new_records)
         return new_records
@@ -812,8 +816,9 @@ class CentralNodeRuntime:
     def _observe_frame(self, record: FrameRecord, obs: Observability) -> None:
         """Fold one processed frame into the observability bundle.
 
-        Pure observer: reads the record, the counters and the tracer's
-        finished spans; never touches the datapath or any RNG stream.
+        Pure observer: reads the record and the tracer's finished spans;
+        never touches the datapath or any RNG stream.  The health counters
+        are mirrored once per :meth:`run` call.
         """
         m = obs.metrics
         m.inc("frames.total")
@@ -827,7 +832,6 @@ class CentralNodeRuntime:
         m.set_gauge("engine.fallback_active",
                     1.0 if self.engine == ENGINE_FALLBACK else 0.0)
         m.set_gauge("degrade.consecutive_bad", float(self._consecutive_bad))
-        fold_health_counters(self.counters, m)
 
         entry = {
             "frame": record.frame_index,
@@ -842,10 +846,9 @@ class CentralNodeRuntime:
             "substituted_hubs": [int(h) for h in record.substituted_hubs],
             "published": record.published,
             "publish_attempts": record.publish_attempts,
-            "spans": [s.to_dict()
-                      for s in obs.tracer.frame_spans(record.frame_index)],
         }
-        obs.recorder.append(entry)
+        obs.recorder.append(entry,
+                            obs.tracer.frame_spans(record.frame_index))
         if record.status in (STATUS_WATCHDOG, STATUS_CORRUPT):
             postmortem = obs.recorder.mark_trip(record.status,
                                                 record.frame_index)

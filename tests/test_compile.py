@@ -13,18 +13,30 @@ the outside:
   and without an active fault injector,
 * batch-norm folding engages on provably-exact wide formats and falls
   back (with a recorded reason) on the paper's 16-bit formats,
+* convs lower to per-tap GEMMs reading their producers' zero-edged
+  buffers, with the decoder concats folded in; the plan is a pure
+  function of the model, holds scratch sized by the largest batch seen,
+  pickles, and leaves scipy unimported when it has no conv,
 * the compile levels, the arena planner, ``RunStats`` telemetry and the
   CLI ``--compile-level`` plumbing behave as documented.
 """
 
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.fixed import FixedPointFormat, Overflow, Rounding
 from repro.hls import HLSConfig, convert
 from repro.hls.compile import _LUTStep, _build_lut, _lut_span_ok
 from repro.nn import (
     BatchNormalization,
+    Concatenate,
     Conv1D,
     Dense,
     Flatten,
@@ -146,6 +158,25 @@ class TestCompiledPredict:
         assert np.array_equal(mlp_compiled.predict(x),
                               mlp_compiled.predict(x, compiled=False))
 
+    def test_mlp_level1_matches_naive(self, ref_bundle, rng):
+        from repro.hls.precision import uniform_config
+
+        model = convert(ref_bundle.mlp,
+                        uniform_config(16, 7, model=ref_bundle.mlp))
+        model.compile(level=1)
+        x = rng.normal(0.0, 1.0, size=(17,) + tuple(model.input_shape))
+        assert np.array_equal(model.predict(x),
+                              model.predict(x, executor="naive"))
+
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_tiny_matches_naive(self, tiny_model, rng, level):
+        model = convert(tiny_model, HLSConfig())
+        model.compile(level=level)
+        x = rng.normal(0.0, 2.0, size=(33,) + tuple(model.input_shape))
+        for n in (1, 2, 7, 33):
+            assert np.array_equal(model.predict(x[:n]),
+                                  model.predict(x[:n], executor="naive")), n
+
     def test_covers_partition_kernels(self, unet_compiled):
         """Every naive kernel is covered by exactly one compiled step."""
         covered = []
@@ -161,6 +192,122 @@ class TestCompiledPredict:
         assert plan_report.luts, "U-Net should lower activation LUTs"
         assert plan_report.fused, "U-Net should fuse MAC pipelines"
         assert plan_report.arena_words > 0
+
+
+# ----------------------------------------------------------------------
+# Conv lowering: per-tap GEMMs over zero-edged streams, split-K concats
+# ----------------------------------------------------------------------
+def _plan_signature(plan):
+    """Everything a plan computes with, as comparable plain values."""
+    sig = []
+    for step in plan.steps:
+        arrays = {k: v for k, v in vars(step).items()
+                  if isinstance(v, np.ndarray)}
+        taps = [w for operand in getattr(step, "w_taps", []) for w in operand]
+        sig.append((type(step).__name__, step.name, step.inputs, step.pad,
+                    step.reads_padded, step.covers, getattr(step, "conv", None),
+                    {k: v.tobytes() for k, v in arrays.items()},
+                    [w.tobytes() for w in taps]))
+    return sig
+
+
+class TestConvLowering:
+    def test_decoder_concats_fold_into_their_convs(self, unet_compiled):
+        plan = unet_compiled.compiled_plan
+        kinds = {type(step).__name__ for step in plan.steps}
+        assert "_ConcatStep" not in kinds and "_KernelStep" not in kinds
+        convs = {step.name: step for step in plan.steps
+                 if getattr(step, "conv", None)}
+        assert convs["dec2_relu"].inputs == ["dec2_up", "enc2_relu"]
+        assert convs["dec1_relu"].inputs == ["dec1_up", "enc1_relu"]
+        assert convs["dec2_relu"].covers[0] == "dec2_concat"
+        for step in convs.values():
+            assert step.conv["formulation"] == "per_tap"
+            assert all(step.reads_padded), step.name  # no pad copy
+
+    def test_compiling_twice_yields_identical_plans(self, ref_bundle):
+        from repro.experiments.common import reference_configs
+
+        model = convert(ref_bundle.unet, reference_configs()[STRATEGY])
+        model.compile(level=2)
+        first = _plan_signature(model.compiled_plan)
+        model.compile(level=2)
+        assert _plan_signature(model.compiled_plan) == first
+
+    def test_scratch_sized_by_largest_batch(self, ref_bundle, unet_frames):
+        from repro.experiments.common import reference_configs
+
+        def fresh():
+            model = convert(ref_bundle.unet, reference_configs()[STRATEGY])
+            model.compile(level=2)
+            return model
+
+        x = np.concatenate([unet_frames] * 2)[:32]
+        once = fresh()
+        once.predict(x)
+        every = fresh()
+        for n in range(1, 33):
+            every.predict(x[:n])
+        held = every.compiled_plan.held_bytes()
+        assert held == once.compiled_plan.held_bytes()
+        assert held > 0
+
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_inexact_partial_sums_fall_back_with_their_concat(self, level):
+        """A bias on a finer grid than the products, with a bound large
+        enough that bias-first partial sums could leave the exact window:
+        the conv keeps its naive kernel, and the concat it would have
+        folded is built again ahead of it."""
+        grid = FixedPointFormat(16, 20)  # lsb 16: a coarse input grid
+        inp = Input((16, 1), name="in")
+        cat = Concatenate(name="cat")(ReLU(name="a")(inp),
+                                      ReLU(name="b")(inp))
+        out = Flatten(name="f")(Conv1D(2, 3, seed=0, name="c")(cat))
+        model = Model(inp, out)
+        conv = next(layer for layer in model.layers if layer.name == "c")
+        conv.params["kernel"] = np.full((3, 2, 2), 0.25)
+        conv.params["bias"] = np.array([0.5 + 3 * 2.0**-36,
+                                        -0.25 - 5 * 2.0**-36])
+        cfg = HLSConfig()
+        for name in ("in", "a", "b", "cat"):
+            cfg.set_layer(name, result=grid)
+        cfg.set_layer("c", weight=FixedPointFormat(48, 12))  # lsb 2**-36
+
+        hm = convert(model, cfg)
+        report = hm.compile(level=level)
+        assert report.fallbacks["c"] == "conv partial sums leave exact window"
+        kinds = [(type(step).__name__, step.name)
+                 for step in hm.compiled_plan.steps]
+        assert kinds.index(("_ConcatStep", "cat")) \
+            < kinds.index(("_KernelStep", "c"))
+        x = np.random.default_rng(3).normal(0.0, 2.0**17, size=(7, 16, 1))
+        for n in (1, 2, 7):
+            assert np.array_equal(hm.predict(x[:n]),
+                                  hm.predict(x[:n], executor="naive")), n
+
+    def test_compiled_unet_pickles(self, unet_compiled, unet_frames):
+        want = unet_compiled.predict(unet_frames)  # scratch + BLAS live
+        clone = pickle.loads(pickle.dumps(unet_compiled))
+        assert np.array_equal(clone.predict(unet_frames), want)
+        assert np.array_equal(clone.predict(unet_frames[:3]), want[:3])
+
+    def test_dense_only_plan_never_imports_scipy(self):
+        code = (
+            "import sys\n"
+            "from repro import CartpolePlant, RuntimeConfig, build_runtime\n"
+            "from repro.plants import run_closed_loop\n"
+            "plant = CartpolePlant()\n"
+            "rt = build_runtime(plant.default_model(), plant=plant,\n"
+            "                   config=RuntimeConfig(compile_level=2))\n"
+            "assert rt.board.ip.hls_model.compile_level == 2\n"
+            "run_closed_loop(rt, plant.session(0), 20, seed=1)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True, timeout=300,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "[]"
 
 
 # ----------------------------------------------------------------------

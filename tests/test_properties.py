@@ -5,6 +5,9 @@ These fuzz the invariants that hold the reproduction together:
 * any model built from the supported layer vocabulary converts and
   produces finite outputs of the right shape,
 * at generous precision the converted model tracks the float model,
+* compiled ``predict`` equals the naive executor bit for bit on seeded
+  U-Net-like conv graphs (every conv lowering path, every rounding ×
+  overflow mode),
 * the event simulator never goes back in time,
 * hub splitting is a partition for any (monitors, hubs) pair,
 * the trip controller's decision is permutation-consistent.
@@ -15,13 +18,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fixed import FixedPointFormat, Overflow
+from repro.fixed import FixedPointFormat, Overflow, Rounding
 from repro.hls import HLSConfig, convert
 from repro.hls.config import LayerConfig, WIDE_ACCUM
 from repro.hls.latency import estimate_latency
 from repro.hls.resources import estimate_resources
 from repro.nn import (
     AveragePooling1D,
+    Concatenate,
     Conv1D,
     Dense,
     Flatten,
@@ -106,6 +110,128 @@ class TestConverterFuzz:
         hi = estimate_latency(convert(model, HLSConfig().with_reuse_factor(
             reuse * 2))).total_cycles
         assert hi >= lo
+
+
+#: Every rounding × overflow pair the compiled epilogues special-case.
+QUANT_MODES = [(r, o) for r in (Rounding.TRN, Rounding.RND, Rounding.RND_CONV)
+               for o in (Overflow.WRAP, Overflow.SAT)]
+
+#: Seeds of the generated conv graphs (a fixed slice, so tier-1 stays
+#: deterministic).
+CONV_GRAPH_SEEDS = list(range(24))
+
+
+def build_conv_graph(seed):
+    """A seeded U-Net-like conv graph and its config, for the
+    compiled-vs-naive differential test.
+
+    1–3 levels of ``same`` convs with max-pooling (average pooling on
+    some levels: a naive kernel whose output the next conv must copy
+    into its own zero-edged buffer), up-sampling and a skip concat into
+    every decoder conv (split-K), plus a stem and a head conv that may be
+    ``valid``; kernel sizes from {1, 2, 3, 5}.  Result formats cycle
+    through every rounding × overflow mode, the stem's weights have zero
+    integer bits, and some convs get a narrow truncating accumulator.
+    """
+    rng = np.random.default_rng(seed)
+    ksize = lambda: int(rng.choice([1, 2, 3, 5]))
+    chans = lambda: int(rng.integers(1, 6))
+    padding = lambda: str(rng.choice(["same", "valid"]))
+    levels = int(rng.integers(1, 4))
+    stem_k, stem_pad = ksize(), padding()
+    length = 2 ** levels * int(rng.integers(2, 5))
+    inp = Input((length + (stem_k - 1) * (stem_pad == "valid"), 1),
+                name="in")
+    x = Conv1D(chans(), stem_k, padding=stem_pad, seed=seed, name="stem")(inp)
+    skips = []
+    for i in range(levels):
+        x = Conv1D(chans(), ksize(), seed=seed + i, name=f"e{i}_conv")(x)
+        x = ReLU(name=f"e{i}_act")(x)
+        skips.append(x)
+        pool = MaxPooling1D if rng.random() < 0.7 else AveragePooling1D
+        x = pool(2, name=f"e{i}_pool")(x)
+    x = Conv1D(chans(), ksize(), seed=seed + 5, name="mid_conv")(x)
+    x = ReLU(name="mid_act")(x)
+    sources = {}  # routing layer -> the layer whose grid it may keep
+    for i in reversed(range(levels)):
+        sources[f"d{i}_up"] = x.layer.name
+        sources[f"d{i}_cat"] = f"e{i}_act"
+        x = UpSampling1D(2, name=f"d{i}_up")(x)
+        x = Concatenate(name=f"d{i}_cat")(x, skips[i])
+        x = Conv1D(chans(), ksize(), seed=seed + 9 + i, name=f"d{i}_conv")(x)
+        x = ReLU(name=f"d{i}_act")(x)
+    x = Conv1D(2, ksize(), padding=padding(), seed=seed + 13, name="head")(x)
+    x = Sigmoid(name="head_act")(x)
+    model = Model(inp, Flatten(name="out")(x))
+
+    config = HLSConfig()
+    results = {}
+    for j, layer in enumerate(model.layers):
+        rounding, overflow = QUANT_MODES[(seed + j) % len(QUANT_MODES)]
+        fmt = dict(rounding=rounding, overflow=overflow)
+        width = int(rng.choice([10, 12, 16]))
+        results[layer.name] = FixedPointFormat(
+            width, int(rng.integers(0, 7)), **fmt)
+        # Mostly keep routing layers on their source's grid, as the
+        # layer-based strategy does: then no operand of a concat needs a
+        # cast it cannot push up, and the concat folds into its conv.
+        if layer.name in sources and rng.random() < 0.7:
+            results[layer.name] = results[sources[layer.name]]
+        kwargs = {"result": results[layer.name]}
+        if isinstance(layer, Conv1D):
+            integer = 0 if layer.name == "stem" else int(rng.integers(0, 3))
+            kwargs["weight"] = FixedPointFormat(12, integer, **fmt)
+            if rng.random() < 0.3:
+                kwargs["accum"] = FixedPointFormat(24, 10, overflow=overflow)
+        config.set_layer(layer.name, **kwargs)
+    return model, config
+
+
+class TestConvLoweringDifferential:
+    """Compiled ``predict`` == the naive executor on generated graphs."""
+
+    @pytest.fixture(scope="class")
+    def graphs(self):
+        return {seed: build_conv_graph(seed) for seed in CONV_GRAPH_SEEDS}
+
+    @pytest.mark.parametrize("level", [1, 2])
+    @pytest.mark.parametrize("seed", CONV_GRAPH_SEEDS)
+    def test_compiled_equals_naive(self, graphs, seed, level):
+        model, config = graphs[seed]
+        hm = convert(model, config)
+        hm.compile(level=level)
+        x = np.random.default_rng(seed).normal(
+            0.0, 3.0, size=(33,) + tuple(model.inputs[0].shape))
+        for n in (1, 2, 7, 33):
+            assert np.array_equal(hm.predict(x[:n]),
+                                  hm.predict(x[:n], executor="naive")), n
+
+    def test_generator_covers_every_lowering_path(self, graphs):
+        """The seed slice reaches split-K, the pad-copy fallback, valid
+        convs, every kernel size and every rounding × overflow mode."""
+        seen = set()
+        for model, config in graphs.values():
+            hm = convert(model, config)
+            hm.compile(level=2)
+            for step in hm.compiled_plan.steps:
+                conv = getattr(step, "conv", None)
+                if not conv:
+                    continue
+                seen.add(("k", conv["k"]))
+                seen.add(("valid", conv["pad"] == (0, 0) and conv["k"] > 1))
+                seen.add(("split-K", len(step.inputs) > 1))
+                seen.add(("pad copy", not all(step.reads_padded)))
+                seen.add(("mode", step.mode))
+            for kernel in hm.kernels:
+                fmt = kernel.config.result
+                seen.add((fmt.rounding, fmt.overflow))
+        for k in (1, 2, 3, 5):
+            assert ("k", k) in seen
+        for flag in ("valid", "split-K", "pad copy"):
+            assert (flag, True) in seen, flag
+        assert ("mode", "raw") in seen and ("mode", "naive") in seen
+        for mode in QUANT_MODES:
+            assert mode in seen
 
 
 class TestSimulatorProperties:
