@@ -66,7 +66,8 @@ def test_compiled_unet_forward(benchmark, frames, compiled_unet):
                              rounds=3, iterations=1)
     assert out.shape == (32, 520)
     # The speedup is only reportable because the bits agree.
-    assert np.array_equal(out, compiled_unet.predict(frames, compiled=False))
+    assert np.array_equal(out, compiled_unet.predict(frames,
+                                                     executor="naive"))
 
 
 def test_runtime_batched_block(benchmark):

@@ -46,7 +46,7 @@ def main() -> None:
     result = repro.run_control_loop(
         design.hls_model,
         dataset.x_eval[:64],
-        config=repro.RuntimeConfig(compile_level=1),
+        config=repro.RuntimeConfig(compile_level=2),
         obs=repro.ObsConfig(flight_frames=64),
     )
     node_ms = result.total_latencies_s * 1e3

@@ -33,7 +33,7 @@ so call sites read as named policy, not positional soup.
 
 from __future__ import annotations
 
-import warnings
+import math
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple, Union
 
@@ -41,6 +41,7 @@ import numpy as np
 
 from repro.core.codesign import CodesignOptimizer, CodesignResult, DesignConstraints
 from repro.core.deployment import Deployment, deploy
+from repro.hls.compile import check_compile_level
 from repro.hls.converter import convert
 from repro.hls.model import HLSModel
 from repro.hls.precision import layer_based_config, uniform_config
@@ -86,66 +87,39 @@ class RuntimeConfig:
     Parameters
     ----------
     period_s:
-        Digitizer tick (the paper's 3 ms frame period).
+        Digitizer tick (the paper's 3 ms frame period); positive and
+        finite.
     batch_inference:
-        Engage the bit-exact batched fast path when eligible.
-    speculation:
-        With a fault injector attached, keep the batched fast path live
-        speculatively — precompute the block, replay only frames the
-        schedule's taint set invalidates (:mod:`repro.soc.taint`).
-        ``False`` restores the historical whole-block disengage.
+        Engage the bit-exact batched fast path when eligible (with a
+        fault injector attached, speculatively: see
+        :mod:`repro.soc.taint`).
     compile_level:
-        Graph-compiler level (0 = naive, 1 = local rewrites,
-        2 = + BN folding and the static arena).
+        Graph-compiler level (0 = naive, 2 = the compiled plan).
     precision:
         ``(width, integer)`` used when a float model must be converted
         and no profiling data is supplied (uniform ``ac_fixed``).
     profile_width:
         Total width for the layer-based strategy when ``x_profile`` IS
         supplied to :func:`build_runtime`.
-    n_hubs:
-        Deprecated — hub topology belongs to the plant; set
-        ``BeamLossPlant(n_hubs=...)`` instead.  Non-``None`` values
-        still override a beam-loss plant (with a
-        ``DeprecationWarning``).
-    min_votes:
-        Deprecated — the vote floor belongs to the plant; set
-        ``BeamLossPlant(min_votes=...)`` instead.  Non-``None``
-        values still override a beam-loss plant (with a
-        ``DeprecationWarning``).
     policy:
         Degradation ladder thresholds (watchdog, fallback, recovery).
     """
 
     period_s: float = FRAME_PERIOD_S
     batch_inference: bool = True
-    speculation: bool = True
     compile_level: int = 0
     precision: Tuple[int, int] = (16, 7)
     profile_width: int = 16
-    n_hubs: Optional[int] = None
-    min_votes: Optional[int] = None
     policy: DegradationPolicy = field(default_factory=DegradationPolicy)
 
     def __post_init__(self) -> None:
-        if self.period_s <= 0:
-            raise ValueError("period_s must be positive")
-        if self.compile_level not in (0, 1, 2):
-            raise ValueError("compile_level must be 0, 1 or 2")
+        if not (math.isfinite(self.period_s) and self.period_s > 0):
+            raise ValueError(
+                f"period_s must be positive and finite, got {self.period_s}")
+        check_compile_level(self.compile_level)
         w, i = self.precision
         if w <= 0 or i < 0 or i > w:
             raise ValueError(f"invalid precision {self.precision}")
-        # stacklevel=3: __post_init__ ← dataclass __init__ ← caller.
-        if self.n_hubs is not None:
-            warnings.warn(
-                "RuntimeConfig.n_hubs is deprecated; hub topology is "
-                "plant policy — pass plant=BeamLossPlant(n_hubs=...)",
-                DeprecationWarning, stacklevel=3)
-        if self.min_votes is not None:
-            warnings.warn(
-                "RuntimeConfig.min_votes is deprecated; the vote floor "
-                "is plant policy — pass plant=BeamLossPlant(min_votes=...)",
-                DeprecationWarning, stacklevel=3)
 
 
 @dataclass
@@ -166,18 +140,8 @@ class ControlLoopResult:
         """Per-frame total latency (hub readout + node), frame order."""
         return np.array([r.total_latency_s for r in self.records])
 
-    @property
-    def latencies_s(self) -> np.ndarray:
-        """Deprecated alias of :attr:`total_latencies_s`."""
-        warnings.warn(
-            "ControlLoopResult.latencies_s is deprecated; use "
-            "total_latencies_s",
-            DeprecationWarning, stacklevel=2)
-        return self.total_latencies_s
 
-
-def load_pretrained(*, include_bn: Optional[bool] = None,
-                    train_if_missing: bool = True) -> ReferenceBundle:
+def load_pretrained(*, train_if_missing: bool = True) -> ReferenceBundle:
     """The reference bundle: trained U-Net + MLP + deblending dataset.
 
     Thin facade over
@@ -187,18 +151,11 @@ def load_pretrained(*, include_bn: Optional[bool] = None,
 
     The bundle is beam-loss-specific (its dataset is the plant's
     substrate); plant-generic code should take models from
-    ``plant.default_model()`` instead.  *include_bn* is deprecated
-    here — pass it to
+    ``plant.default_model()`` instead.  Variant bundles (e.g. the
+    batch-norm U-Net) come from
     :func:`repro.pretrained.bundle.load_reference_bundle` directly.
     """
-    if include_bn is not None:
-        warnings.warn(
-            "load_pretrained(include_bn=...) is deprecated; call "
-            "repro.pretrained.bundle.load_reference_bundle for "
-            "variant-specific bundles",
-            DeprecationWarning, stacklevel=2)
-    return load_reference_bundle(include_bn=bool(include_bn),
-                                 train_if_missing=train_if_missing)
+    return load_reference_bundle(train_if_missing=train_if_missing)
 
 
 def _as_hls(model: ModelLike, x_profile: Optional[np.ndarray],
@@ -215,29 +172,6 @@ def _as_hls(model: ModelLike, x_profile: Optional[np.ndarray],
         width, integer = config.precision
         cfg = uniform_config(width, integer, model=model)
     return convert(model, cfg)
-
-
-def _apply_deprecated_overrides(plant: Plant,
-                                config: RuntimeConfig) -> Plant:
-    """Honor deprecated ``RuntimeConfig`` plant fields on *plant*.
-
-    Applied via :func:`dataclasses.replace` on the **plant** (never by
-    rebuilding the config, which would re-fire the deprecation warning
-    from inside the library).
-    """
-    overrides = {}
-    if config.n_hubs is not None:
-        overrides["n_hubs"] = config.n_hubs
-    if config.min_votes is not None:
-        overrides["min_votes"] = config.min_votes
-    if not overrides:
-        return plant
-    if not isinstance(plant, BeamLossPlant):
-        raise ValueError(
-            f"deprecated RuntimeConfig fields {sorted(overrides)} only "
-            f"apply to BeamLossPlant; set them on the "
-            f"{type(plant).__name__} itself")
-    return replace(plant, **overrides)
 
 
 def build_runtime(model: ModelLike, *,
@@ -264,7 +198,7 @@ def build_runtime(model: ModelLike, *,
     wiring).
     """
     config = config or RuntimeConfig()
-    plant = _apply_deprecated_overrides(plant or BeamLossPlant(), config)
+    plant = plant or BeamLossPlant()
     hls = _as_hls(model, x_profile, config)
     if config.compile_level and not hls.compiled:
         hls.compile(level=config.compile_level)
@@ -295,7 +229,6 @@ def build_runtime(model: ModelLike, *,
         controller=plant.controller(),
         period_s=config.period_s,
         batch_inference=config.batch_inference,
-        speculation=config.speculation,
         policy=config.policy,
         injector=injector,
         obs=obs,
@@ -564,7 +497,7 @@ def start_daemon(model: ModelLike, *,
 def codesign_and_deploy(
     model: Model,
     x_profile: np.ndarray,
-    *legacy,
+    *,
     constraints: Optional[DesignConstraints] = None,
     eval_frames: int = 100,
     verify_frames: int = 8,
@@ -585,27 +518,7 @@ def codesign_and_deploy(
     feasible design — or its recommendation fails the optimizer's
     checks — the pipeline falls back to the ladder, so ``search`` can
     only improve on the paper's design, never lose it.
-
-    ``constraints``/``eval_frames``/``verify_frames`` are keyword-only;
-    passing them positionally still works but is deprecated.
     """
-    if legacy:
-        warnings.warn(
-            "positional constraints/eval_frames/verify_frames are "
-            "deprecated; pass them as keywords to codesign_and_deploy",
-            DeprecationWarning, stacklevel=2)
-        if len(legacy) > 3:
-            raise TypeError("codesign_and_deploy takes at most 5 "
-                            "positional arguments")
-        names = ("constraints", "eval_frames", "verify_frames")
-        given = {"constraints": constraints, "eval_frames": eval_frames,
-                 "verify_frames": verify_frames}
-        for name, value in zip(names, legacy):
-            given[name] = value
-        constraints = given["constraints"]
-        eval_frames = given["eval_frames"]
-        verify_frames = given["verify_frames"]
-
     x_profile = np.asarray(x_profile, dtype=np.float64)
     optimizer = CodesignOptimizer(model, x_profile, constraints,
                                   eval_frames=eval_frames)

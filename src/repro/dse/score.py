@@ -53,30 +53,25 @@ class ServiceModel:
     """Calibrated wall-cost constants of the serving stack.
 
     Fitted once against the committed bench ladder (sequential ≈116 fps,
-    batched level-0 ≈340 fps, compiled level-2 ≈550 fps on the reference
-    runner); they parameterise an *analytic* throughput model — the DSE
-    never times anything.
+    batched naive ≈340 fps, compiled ≈550 fps on the reference runner);
+    they parameterise an *analytic* throughput model of the compiled
+    plan — the DSE never times anything.
     """
 
     #: Fixed dispatch cost per micro-batch (plan + fast-path setup).
     dispatch_overhead_s: float = 6.0e-3
-    #: Marginal per-frame cost inside a batch at compile level 0: the
-    #: 2.6 ms fit scaled by 0.93, the modelled conv-lowering factor.
-    marginal_frame_cost_s: float = 2.418e-3
-    #: Speedup of the marginal cost at compile levels 0/1/2.
-    level_speedup: Tuple[float, float, float] = (1.0, 1.35, 1.7)
+    #: Marginal per-frame cost inside a batch on the compiled plan: the
+    #: 2.6 ms naive fit scaled by 0.93, the modelled conv-lowering factor,
+    #: over the compiled plan's modelled 1.7x speedup.
+    marginal_frame_cost_s: float = 2.418e-3 / 1.7
     #: Throughput scaling per extra busy worker (pool overheads).
     worker_efficiency: float = 0.85
-
-    def marginal_cost_s(self, candidate: Candidate) -> float:
-        return (self.marginal_frame_cost_s
-                / self.level_speedup[candidate.compile_level])
 
     def throughput_fps(self, n_frames: int, candidate: Candidate) -> float:
         """Modeled backlog (replay) throughput of the sharded farm."""
         policy = BatchingPolicy(max_batch=candidate.batch_size)
         plan = plan_microbatches(backlog_arrivals(n_frames), policy)
-        marginal = self.marginal_cost_s(candidate)
+        marginal = self.marginal_frame_cost_s
         shard_total = sum(self.dispatch_overhead_s + (stop - start) * marginal
                           for start, stop in plan)
         shard_fps = n_frames / shard_total
@@ -217,13 +212,6 @@ def _converted_for(problem: DSEProblem, candidate: Candidate) -> HLSModel:
     return convert(problem.model, config)
 
 
-def _compile_for(hls: HLSModel, candidate: Candidate) -> None:
-    """Bring *hls* to the candidate's compile level (idempotent for
-    cached models already sitting at the right level)."""
-    if hls.compile_level != candidate.compile_level:
-        hls.compile(level=candidate.compile_level)
-
-
 def score_candidate(problem: DSEProblem, candidate: Candidate,
                     eval_frames: Optional[int] = None) -> CandidateScore:
     """Score one candidate (pre-filter, then simulate if plausible)."""
@@ -259,7 +247,8 @@ def score_candidate(problem: DSEProblem, candidate: Candidate,
     # ------------------------------------------------------------ simulate
     n_eval = min(eval_frames if eval_frames is not None
                  else problem.eval_frames, problem.eval_frames)
-    _compile_for(hls, candidate)
+    if not hls.compiled:  # cached reference models already are
+        hls.compile()
     config = RuntimeConfig(batch_inference=True)
     if problem.closed_loop:
         runtime = build_runtime(hls, config=config, plant=problem.plant)
@@ -338,7 +327,7 @@ def unet_problem(*, fast: bool = False,
                  seed: int = 0,
                  eval_frames: Optional[int] = None) -> DSEProblem:
     """The paper's U-Net de-blending problem, wired to the experiment
-    harnesses' shared bundle and per-level converted-model cache."""
+    harnesses' shared bundle and converted-model cache."""
     from repro.dse.space import REFERENCE_STRATEGIES
     from repro.experiments import common
 
@@ -354,14 +343,13 @@ def unet_problem(*, fast: bool = False,
 
     def lookup(candidate: Candidate) -> Optional[HLSModel]:
         # Reference precision points ride the shared (strategy, level)
-        # cache; compile levels are reconciled by the scorer (cheap next
-        # to a reconvert).
+        # cache at the compiled level.
         if not candidate.is_reference_precision:
             return None
         title = titles.get(candidate.strategy)
         if title is None:
             return None
-        return common.converted_at(title, candidate.compile_level)
+        return common.converted_at(title, 2)
 
     return DSEProblem(
         name="unet-beamloss", model=b.unet, plant=BeamLossPlant(),

@@ -3,11 +3,13 @@
 A :class:`Candidate` is one point in the joint space of every knob the
 paper turns by hand (Section IV): precision strategy and per-layer
 integer bits, reuse factors, plus the reproduction's serving knobs
-(compile level, conv formulation, micro-batch size, shard and worker
-counts).  :class:`SearchSpace` enumerates/samples candidates
-deterministically — grids never touch an RNG, and random sampling
-draws only from generators handed in by the driver (all spawned from
-one ``SeedSequence``).
+(micro-batch size, shard and worker counts).  Every candidate runs on
+the compiled plan: accuracy, simulated latency and resources do not
+depend on the compiler, and modelled throughput only rises with it.
+:class:`SearchSpace` enumerates/samples candidates deterministically —
+grids never touch an RNG, and random sampling draws only from
+generators handed in by the driver (all spawned from one
+``SeedSequence``).
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ class Candidate:
     layer_deltas: Tuple[Tuple[str, int], ...] = ()
     default_reuse: int = 32
     dense_sigmoid_reuse: int = DENSE_SIGMOID_REUSE
-    compile_level: int = 2
     batch_size: int = 16
     n_shards: int = 4
     workers: int = 4
@@ -87,7 +88,6 @@ class Candidate:
             "layer_deltas": [list(d) for d in self.layer_deltas],
             "default_reuse": self.default_reuse,
             "dense_sigmoid_reuse": self.dense_sigmoid_reuse,
-            "compile_level": self.compile_level,
             "batch_size": self.batch_size,
             "n_shards": self.n_shards,
             "workers": self.workers,
@@ -129,7 +129,6 @@ class SearchSpace:
     max_perturbed_layers: int = 2
     default_reuse: Tuple[int, ...] = (16, 32, 64, 128)
     dense_sigmoid_reuse: Tuple[int, ...] = (130, 260, 520)
-    compile_levels: Tuple[int, ...] = (0, 1, 2)
     batch_sizes: Tuple[int, ...] = (8, 16, 32)
     n_shards: Tuple[int, ...] = (1, 2, 4)
     workers: Tuple[int, ...] = (0, 2, 4)
@@ -145,12 +144,10 @@ class SearchSpace:
         Table II comparison is on every Pareto front and the search can
         only improve on the paper's hand-tuned design, never lose it.
         """
-        level = max(self.compile_levels)
         mid = lambda axis: axis[len(axis) // 2]
         return [
             Candidate(strategy=s, default_reuse=32,
                       dense_sigmoid_reuse=DENSE_SIGMOID_REUSE,
-                      compile_level=level,
                       batch_size=mid(self.batch_sizes),
                       n_shards=mid(self.n_shards),
                       workers=mid(self.workers))
@@ -182,7 +179,6 @@ class SearchSpace:
             strategy=strategy, margin_bits=margin, layer_deltas=deltas,
             default_reuse=pick(self.default_reuse),
             dense_sigmoid_reuse=pick(self.dense_sigmoid_reuse),
-            compile_level=pick(self.compile_levels),
             batch_size=pick(self.batch_sizes),
             n_shards=pick(self.n_shards),
             workers=pick(self.workers),
@@ -198,8 +194,7 @@ class SearchSpace:
         """
         axes: List[Tuple] = [self.strategies, self.margin_bits,
                              self.default_reuse, self.dense_sigmoid_reuse,
-                             self.compile_levels, self.batch_sizes,
-                             self.n_shards, self.workers]
+                             self.batch_sizes, self.n_shards, self.workers]
         total = 1
         for axis in axes:
             total *= len(axis)
@@ -212,11 +207,10 @@ class SearchSpace:
             for axis in reversed(axes):
                 flat, r = divmod(flat, len(axis))
                 coords.append(axis[r])
-            (wk, sh, bs, lvl, dr2, dr, mb, st) = coords
+            (wk, sh, bs, dr2, dr, mb, st) = coords
             cand = Candidate(strategy=st, margin_bits=mb,
                              default_reuse=dr, dense_sigmoid_reuse=dr2,
-                             compile_level=lvl, batch_size=bs,
-                             n_shards=sh, workers=wk)
+                             batch_size=bs, n_shards=sh, workers=wk)
             if cand.key() not in seen:
                 seen.add(cand.key())
                 out.append(cand)
@@ -226,8 +220,8 @@ class SearchSpace:
     def mutate(self, candidate: Candidate,
                rng: np.random.Generator) -> Candidate:
         """Perturb one knob of *candidate* (adaptive-mode neighborhood)."""
-        knobs = ["default_reuse", "dense_sigmoid_reuse", "compile_level",
-                 "batch_size", "n_shards", "workers"]
+        knobs = ["default_reuse", "dense_sigmoid_reuse", "batch_size",
+                 "n_shards", "workers"]
         if candidate.strategy == "layer-based":
             knobs.append("margin_bits")
             if self.layer_names:
@@ -244,7 +238,6 @@ class SearchSpace:
             return replace(candidate, layer_deltas=tuple(items))
         axis = {"default_reuse": self.default_reuse,
                 "dense_sigmoid_reuse": self.dense_sigmoid_reuse,
-                "compile_level": self.compile_levels,
                 "batch_size": self.batch_sizes,
                 "n_shards": self.n_shards,
                 "workers": self.workers,

@@ -12,6 +12,7 @@ import time
 from typing import List, Optional
 
 from repro.experiments.registry import REGISTRY, get_experiment
+from repro.hls.compile import COMPILE_LEVELS
 
 __all__ = ["main"]
 
@@ -26,12 +27,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                              f"choices: {', '.join(sorted(REGISTRY))}")
     parser.add_argument("--fast", action="store_true",
                         help="reduced frame populations (CI mode)")
-    parser.add_argument("--compile-level", type=int, choices=(0, 1, 2),
-                        default=0, metavar="{0,1,2}",
+    parser.add_argument("--compile-level", type=int,
+                        choices=COMPILE_LEVELS, default=0, metavar="{0,2}",
                         help="graph-compiler level for the reference "
-                             "designs (0=naive executor, 1=LUT/fusion "
-                             "rewrites, 2=+folding and arena planning); "
-                             "bit-identical at every level")
+                             "designs (0=naive executor, 2=compiled plan: "
+                             "LUTs, fused MACs, per-tap convs, arena); "
+                             "bit-identical at either level")
     parser.add_argument("--list", action="store_true",
                         help="list available experiments and exit")
     args = parser.parse_args(argv)

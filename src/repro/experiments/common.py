@@ -15,6 +15,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.hls.compile import check_compile_level
 from repro.hls.config import HLSConfig
 from repro.hls.converter import convert
 from repro.hls.model import HLSModel
@@ -96,16 +97,14 @@ _compile_level = 0
 
 
 def set_compile_level(level: int) -> None:
-    """Select the graph-compiler level (0/1/2) used by :func:`converted`.
+    """Select the graph-compiler level (0 or 2) used by :func:`converted`.
 
     Level 0 (the default) keeps the naive liveness executor — compiled
-    plans are bit-identical by construction, so any level reproduces the
-    same tables, just at different speed.
+    plans are bit-identical by construction, so either level reproduces
+    the same tables, just at different speed.
     """
-    if level not in (0, 1, 2):
-        raise ValueError(f"compile level must be 0, 1 or 2, got {level}")
     global _compile_level
-    _compile_level = level
+    _compile_level = check_compile_level(level)
 
 
 def get_compile_level() -> int:
@@ -168,9 +167,7 @@ def fold_converted_cache_metrics(metrics) -> None:
 
 def converted_at(strategy: str, level: int) -> HLSModel:
     """Cached conversion of the reference U-Net at an explicit level."""
-    if level not in (0, 1, 2):
-        raise ValueError(f"compile level must be 0, 1 or 2, got {level}")
-    key = (strategy, level)
+    key = (strategy, check_compile_level(level))
     cached = _converted_cache.get(key)
     if cached is not None:
         _converted_cache.move_to_end(key)

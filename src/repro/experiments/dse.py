@@ -97,8 +97,7 @@ def run(fast: bool = False) -> ExperimentResult:
     for score in adaptive.front:
         c = score.candidate
         label = (f"{c.strategy} ru={c.default_reuse}/"
-                 f"{c.dense_sigmoid_reuse} L{c.compile_level} "
-                 f"b{c.batch_size} "
+                 f"{c.dense_sigmoid_reuse} b{c.batch_size} "
                  f"s{c.n_shards}w{c.workers}")
         marker = " <- recommended" if score is rec else ""
         table.add_row([

@@ -9,7 +9,7 @@ determinism across executors**.  The same seeded episode is driven
 
 * on the naive sequential executor (the reference semantics),
 * on the batched fast path,
-* on the compiled fast path (level 2), with speculation on and off,
+* on the compiled fast path (level 2),
 * on a 2-shard worker-pool farm, and
 * on the same farm with a worker hard-killed mid-plan (chaos),
 
@@ -58,9 +58,6 @@ def run(fast: bool = False) -> ExperimentResult:
         ("batched", RuntimeConfig(batch_inference=True)),
         ("compiled (level 2)",
          RuntimeConfig(batch_inference=True, compile_level=2)),
-        ("compiled, speculation off",
-         RuntimeConfig(batch_inference=True, compile_level=2,
-                       speculation=False)),
     ]
 
     t = Table(["Execution mode", "Identical", "Stabilised", "Trip P/R",
@@ -86,7 +83,7 @@ def run(fast: bool = False) -> ExperimentResult:
 
     farm = build_farm(model,
                       config=RuntimeConfig(batch_inference=True,
-                                           compile_level=1),
+                                           compile_level=2),
                       plant=plant, n_shards=2, seed=5)
     farm_ref = farm.serve_plant_reference(n_frames)
     farm_runs = [

@@ -11,6 +11,8 @@ round SIGKILLs one agent mid-flight: the pool must detect the
 partition, requeue that host's in-flight shards onto the survivors
 under the restart budget, and *still* reproduce the reference word for
 word — the cross-host incarnation of the worker-crash recovery pledge.
+The agent that is closed normally must shut its pool down in order and
+exit 0.
 """
 
 from __future__ import annotations
@@ -90,6 +92,11 @@ def run(fast: bool = False) -> ExperimentResult:
                          f"{n_frames / wall2:.0f}"])
         finally:
             pool.close()
+    # a2 was SIGKILLed; a1 got the normal close (SIGTERM).
+    if a1.proc.returncode != 0:
+        raise AssertionError(
+            f"host agent exited with {a1.proc.returncode} on close, not 0: "
+            f"its workers were not shut down in order")
 
     t = Table(["Topology", "Identical", "Host partitions",
                "Requeued shards", "Throughput (fps)"],
@@ -106,5 +113,7 @@ def run(fast: bool = False) -> ExperimentResult:
         f"sequential reference in both rounds",
         "partition recovery: killing an agent mid-run requeues its "
         "in-flight shards onto the survivor under the restart budget",
+        "the surviving agent exits 0 on close (SIGTERM stops it like "
+        "Ctrl-C: pool closed, workers joined)",
     ]
     return ExperimentResult(name="remote-bench", table=t, notes=notes)

@@ -73,7 +73,7 @@ def run(fast: bool = False) -> ExperimentResult:
             **overrides,
         )
 
-    runtime = make_runtime()  # speculation on: the deployment default
+    runtime = make_runtime()  # the speculative batched fast path
     records = runtime.run(b.dataset.x_eval[:n_frames], seed=7)
     health = runtime.health_report()
 

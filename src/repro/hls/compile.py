@@ -1,11 +1,13 @@
 """Bit-exact graph compiler for :class:`~repro.hls.model.HLSModel`.
 
 The hls4ml flow never executes the network as written: activations become
-on-fabric lookup tables, batch-norm folds into the preceding Dense/Conv,
-and each layer synthesises to one fused multiply–accumulate–requantize
-pipeline.  This module applies the same rewrites to the C-simulation
-twin — but only where the rewrite is *provably* bit-identical to the
-naive kernel-by-kernel execution:
+on-fabric lookup tables and each layer synthesises to one fused
+multiply–accumulate–requantize pipeline.  This module applies the same
+rewrites to the C-simulation twin — but only where the rewrite is
+*provably* bit-identical to the naive kernel-by-kernel execution.
+(Batch-norm folding is a rewrite of the design itself, done at
+conversion by :func:`repro.hls.passes.fuse.fuse_batchnorm`; a batch-norm
+kernel left in the design runs as its naive kernel here.)
 
 * **Activation LUTs** — a kernel input stream on an ``ac_fixed<W, I>``
   grid with ``W ≤ 16`` carries at most 65,536 distinct raw words, so
@@ -21,13 +23,6 @@ naive kernel-by-kernel execution:
   result format's ``1/lsb`` and emits raw result words in a single
   rounding pass; a following activation LUT gathers straight from those
   words, so the intermediate stream never materialises.
-
-* **Batch-norm folding** — ``scale``/``shift`` fold into the preceding
-  Dense/Conv weights when the producer's casts are provably identity on
-  every achievable accumulator *and* the folded operands stay exact in
-  float64.  Anything unprovable falls back to the unfused kernels
-  (recorded in the report) — at 16-bit stream widths the fallback is the
-  normal case, exactly like hls4ml refusing an unsafe optimization.
 
 * **Per-tap conv GEMMs over zero-edged streams** — a conv is ``k``
   BLAS GEMMs, one per tap, over the flattened rows of its operand with
@@ -64,15 +59,18 @@ from repro.fixed.format import FixedPointFormat, Overflow, Rounding
 from repro.fixed.quantize import _round_inplace, quantize, quantize_
 from repro.hls.kernels.activation import SoftmaxKernel
 from repro.hls.kernels.base import HLSKernel
-from repro.hls.kernels.linalg import (BatchNormKernel, Conv1DKernel,
-                                      DenseKernel)
+from repro.hls.kernels.linalg import Conv1DKernel, DenseKernel
 from repro.hls.kernels.shape import (ConcatKernel, FlattenKernel,
                                      InputKernel, LinearKernel,
                                      MaxPoolKernel, ReshapeKernel,
                                      UpSampleKernel)
 
 __all__ = ["CompileReport", "CompiledPlan", "compile_model",
-           "MAX_LUT_BITS"]
+           "MAX_LUT_BITS", "COMPILE_LEVELS", "check_compile_level"]
+
+#: Valid ``HLSModel.compile(level=...)`` values: 0 runs the naive
+#: executor, 2 installs the compiled plan.
+COMPILE_LEVELS = (0, 2)
 
 #: Largest input-stream width an exhaustive lookup table is built for
 #: (2**16 = 65,536 float64 entries = 512 KiB per table).
@@ -80,7 +78,7 @@ MAX_LUT_BITS = 16
 
 #: Exact-summation ceiling: sums of grid values are exact in float64 as
 #: long as |sum| / grid_lsb stays within the 53-bit mantissa.  Every
-#: fused accumulation and fold is gated on this bound.
+#: fused accumulation is gated on this bound.
 _EXACT_SUM_LIMIT = float(2**53)
 
 #: int64-cast guard for raw-domain emits (one bit of headroom, matching
@@ -91,6 +89,13 @@ _RAW_GUARD = float(2**62)
 #: the idempotent-requantization window (same constant as the model's
 #: planning pass).
 _EXACT_GRID_WIDTH = 52
+
+
+def check_compile_level(level) -> int:
+    """*level*, or ``ValueError`` naming :data:`COMPILE_LEVELS`."""
+    if level not in COMPILE_LEVELS:
+        raise ValueError(f"compile level must be 0 or 2, got {level!r}")
+    return level
 
 
 def _dgemm():
@@ -227,15 +232,13 @@ class CompileReport:
     level: int
     luts: List[str] = field(default_factory=list)
     fused: List[str] = field(default_factory=list)
-    folded: List[str] = field(default_factory=list)
     fallbacks: Dict[str, str] = field(default_factory=dict)
-    #: per-frame float64 words of the static arena (0 below level 2)
+    #: per-frame float64 words of the static arena (0 when uncompiled)
     arena_words: int = 0
 
     def describe(self) -> str:
         lines = [f"compile level {self.level}: "
                  f"{len(self.luts)} LUTs, {len(self.fused)} fused MACs, "
-                 f"{len(self.folded)} folded batch-norms, "
                  f"arena {self.arena_words} words/frame"]
         for name, reason in sorted(self.fallbacks.items()):
             lines.append(f"  fallback {name}: {reason}")
@@ -249,8 +252,9 @@ class _Step:
     """One node of the compiled plan.
 
     ``run(ins, out)`` consumes producer streams and returns its output
-    buffer; when the arena planner assigned this step a slot, ``out`` is
-    a preallocated contiguous view the step must write into (and return).
+    buffer; ``out`` is the preallocated contiguous arena view the planner
+    assigned this step, which it must write into (and return).  Steps
+    without a slot (naive kernels, aliases) get ``None``.
     A step whose stream a conv reads directly keeps ``pad`` zero rows
     before and after every frame (see :class:`_MACStep`); the plan hands
     every other consumer the view of the data rows.
@@ -295,11 +299,9 @@ class _Step:
             self._scr[key] = buf
         return buf[:n]
 
-    def _out(self, n: int, out: Optional[np.ndarray]):
+    def _out(self, out: np.ndarray):
         """``(buffer, data rows)`` of this call's output, edges zeroed
         (arena regions are shared, so on every call)."""
-        if out is None:
-            out = np.empty((n,) + self.slot_shape)
         pl, pr = self.pad
         if not (pl or pr):
             return out, out
@@ -355,7 +357,7 @@ class _InputStep(_Step):
     def run(self, ins, out):
         (x,) = ins
         n = x.shape[0]
-        buf, dst = self._out(n, out)
+        buf, dst = self._out(out)
         np.copyto(dst, x)
         raw = self._scratch("raw", n, self.out_shape, np.int64)
         quantize_(dst, self.fmt, raw_out=raw)
@@ -390,9 +392,7 @@ class _LUTStep(_Step):
         np.multiply(x, self.inv_lsb, out=tmp)
         np.copyto(idx, tmp, casting="unsafe")
         idx -= self.raw_min
-        if out is None and self.pad == (0, 0):
-            return self.table[idx]  # element-wise: any input shape
-        buf, dst = self._out(n, out)
+        buf, dst = self._out(out)
         np.take(self.table, idx, out=dst)
         return buf
 
@@ -425,7 +425,7 @@ class _SoftmaxStep(_Step):
     def run(self, ins, out):
         (x,) = ins
         n = x.shape[0]
-        buf, dst = self._out(n, out)
+        buf, dst = self._out(out)
         z = self._scratch("z", n, x.shape[1:])
         idx = self._scratch("idx", n, x.shape[1:], np.intp)
         np.subtract(x, np.max(x, axis=-1, keepdims=True), out=z)
@@ -567,7 +567,7 @@ class _MACStep(_Step):
             acc, rows = self._dense(ins[0], n)
         else:
             acc, rows = self._conv(ins, n)
-        buf, dst = self._out(n, out)
+        buf, dst = self._out(out)
 
         if self.mode == "naive":
             raw = self._scratch("raw", n, self.mac_shape, np.int64)
@@ -642,7 +642,7 @@ class _ConcatStep(_Step):
             self.parts.append((a, b, cast))
 
     def run(self, ins, out):
-        buf, dst = self._out(ins[0].shape[0], out)
+        buf, dst = self._out(out)
         for x, (a, b, cast) in zip(ins, self.parts):
             part = dst[..., a:b]
             np.copyto(part, x)
@@ -677,7 +677,7 @@ class _MaxPoolStep(_CastOutMixin, _Step):
 
     def run(self, ins, out):
         (x,) = ins
-        buf, dst = self._out(x.shape[0], out)
+        buf, dst = self._out(out)
         p = self.pool
         span = self.out_shape[0] * p
         np.maximum(x[:, 0:span:p], x[:, 1:span:p], out=dst)
@@ -699,7 +699,7 @@ class _UpSampleStep(_CastOutMixin, _Step):
     def run(self, ins, out):
         (x,) = ins
         n, t, c = x.shape
-        buf, dst = self._out(n, out)
+        buf, dst = self._out(out)
         # splitting the row axis is always a view, even of the data rows
         # of a zero-edged buffer
         dst.reshape(n, t, self.size, c)[:] = x[:, :, np.newaxis, :]
@@ -733,7 +733,7 @@ class _CopyCastStep(_Step):
     def run(self, ins, out):
         (x,) = ins
         n = x.shape[0]
-        buf, dst = self._out(n, out)
+        buf, dst = self._out(out)
         np.copyto(dst, x.reshape((n,) + self.out_shape))
         self._cast(dst, self.fmt, self.fast)
         return buf
@@ -745,15 +745,13 @@ class _CopyCastStep(_Step):
 class CompiledPlan:
     """Executable rewrite of one model: steps + static arena layout."""
 
-    def __init__(self, steps: List[_Step], report: CompileReport,
-                 use_arena: bool):
+    def __init__(self, steps: List[_Step], report: CompileReport):
         self.steps = steps
         self.report = report
         self._dies_after = self._plan_liveness()
         self._in_rows = self._plan_inputs()
         self._slots: Dict[str, Tuple[int, int, Tuple[int, ...]]] = {}
-        if use_arena:
-            self.report.arena_words = self._plan_arena()
+        self.report.arena_words = self._plan_arena()
         self._arena: Optional[np.ndarray] = None
         self._capacity = 0
         self._views: Dict[int, Dict[str, np.ndarray]] = {}
@@ -946,65 +944,20 @@ def _push_cast_up(model, built: Dict[str, _Step],
     return False
 
 
-def _try_fold_bn(model, mac, bn, report: CompileReport):
-    """Fold ``bn`` into ``mac`` when provably exact; returns the folded
-    ``(weight, bias)`` or ``None`` (reason recorded)."""
-    in_fmt = _producer_fmt(model, mac.input_names[0])
-    w_fmt = mac.config.weight
-    s_fmt = bn.config.weight
-    for fmt in (in_fmt, w_fmt, s_fmt):
-        if fmt.fractional < 0:
-            report.fallbacks[bn.name] = "coarse (negative-fraction) grid"
-            return None
-    w2 = mac.weight_matrix
-    bias = mac.weights.get("bias")
-    in_max = _max_abs(in_fmt)
-    bound = _mac_bound(w2, bias, in_max)
-    prod_frac = in_fmt.fractional + w_fmt.fractional
-    if bound / 2.0 ** (-prod_frac) > _EXACT_SUM_LIMIT:
-        report.fallbacks[bn.name] = "accumulator exceeds exact-sum window"
-        return None
-    # The producer's casts must be identity on every achievable
-    # accumulator, otherwise the quantization between MAC and BN is
-    # observable and folding would change bits.
-    if not _cast_identity(mac.config.accum, prod_frac, bound):
-        report.fallbacks[bn.name] = "producer accum cast is not identity"
-        return None
-    if not _cast_identity(mac.config.result, prod_frac, bound):
-        report.fallbacks[bn.name] = "producer result cast is not identity"
-        return None
-    scale = bn.weights["scale"]
-    shift = bn.weights["shift"]
-    s_max = float(np.abs(scale).max()) if scale.size else 0.0
-    # Element products W·s and the BN's own acc·s must be exact floats.
-    if (_max_abs(w_fmt) * s_max / (w_fmt.lsb * s_fmt.lsb) > _EXACT_SUM_LIMIT
-            or bound * s_max / (2.0 ** (-prod_frac) * s_fmt.lsb)
-            > _EXACT_SUM_LIMIT):
-        report.fallbacks[bn.name] = "folded product leaves exact window"
-        return None
-    weight = mac.weights["kernel"] * scale  # broadcasts over the out axis
-    bias_f = shift if bias is None else bias * scale + shift
-    w2f = weight.reshape(-1, weight.shape[-1]) if weight.ndim == 3 else weight
-    bound_f = _mac_bound(w2f, bias_f, in_max)
-    prod_frac_f = prod_frac + s_fmt.fractional
-    if bound_f / 2.0 ** (-prod_frac_f) > _EXACT_SUM_LIMIT:
-        report.fallbacks[bn.name] = "folded sum leaves exact window"
-        return None
-    return weight, np.asarray(bias_f, dtype=np.float64), bound_f, prod_frac_f
-
-
-def _build_mac_step(model, mac, *, out_name: str, weight, bias,
-                    accum: FixedPointFormat, result: FixedPointFormat,
-                    bound: float, prod_frac: int,
-                    consumers: Dict[str, List[HLSKernel]],
+def _build_mac_step(model, mac, *, consumers: Dict[str, List[HLSKernel]],
                     report: CompileReport, absorbed: set,
                     concat: Optional[_ConcatStep] = None) -> Optional[_Step]:
-    """Lower one Dense/Conv (possibly BN-folded) to a :class:`_MACStep`,
-    fusing a following activation LUT when provable, and for a conv the
-    cast-free *concat* that feeds it (split-K).  Returns ``None`` when an
-    exact-sum precondition fails (caller falls back)."""
+    """Lower one Dense/Conv to a :class:`_MACStep`, fusing a following
+    activation LUT when provable, and for a conv the cast-free *concat*
+    that feeds it (split-K).  Returns ``None`` when an exact-sum
+    precondition fails (caller falls back)."""
+    in_fmt = _producer_fmt(model, mac.input_names[0])
+    weight, bias = mac.weights["kernel"], mac.weights.get("bias")
+    accum, result = mac.config.accum, mac.config.result
+    bound = _mac_bound(mac.weight_matrix, bias, _max_abs(in_fmt))
+    prod_frac = in_fmt.fractional + mac.config.weight.fractional
     if bound / 2.0 ** (-prod_frac) > _EXACT_SUM_LIMIT:
-        report.fallbacks[out_name] = "accumulator exceeds exact-sum window"
+        report.fallbacks[mac.name] = "accumulator exceeds exact-sum window"
         return None
 
     conv = None
@@ -1026,7 +979,7 @@ def _build_mac_step(model, mac, *, out_name: str, weight, bias,
 
     act = None
     if mode == "raw":
-        outs = consumers.get(out_name, [])
+        outs = consumers.get(mac.name, [])
         if (len(outs) == 1 and outs[0].supports_lut
                 and _lut_span_ok(result)
                 and result.width <= MAX_LUT_BITS):
@@ -1034,11 +987,9 @@ def _build_mac_step(model, mac, *, out_name: str, weight, bias,
 
     act_table = _build_lut(act, result) if act is not None else None
     step = _MACStep(
-        name=act.name if act is not None else out_name,
+        name=act.name if act is not None else mac.name,
         inputs=inputs,
-        out_shape=(act.output_shape if act is not None
-                   else (model.get_kernel(out_name).output_shape
-                         if out_name != mac.name else mac.output_shape)),
+        out_shape=act.output_shape if act is not None else mac.output_shape,
         mac_shape=mac.output_shape,
         weight=weight, bias=bias, accum=accum, result=result,
         mode=mode, conv=conv, splits=splits, act_table=act_table,
@@ -1080,14 +1031,12 @@ def _build_mac_step(model, mac, *, out_name: str, weight, bias,
         badd = 0.0 if step.badd is None else step.badd
         grid = min(2.0 ** -prod_frac * scale, _grid(badd))
         if (bound * scale + np.abs(badd).max()) / grid > _EXACT_SUM_LIMIT:
-            report.fallbacks[out_name] = "conv partial sums leave exact window"
+            report.fallbacks[mac.name] = "conv partial sums leave exact window"
             return None
     if mode == "raw":
-        report.fused.append(out_name)
+        report.fused.append(mac.name)
     covers = [concat.name] if concat is not None else []
     covers.append(mac.name)
-    if out_name != mac.name:
-        covers.append(out_name)
     if act is not None:
         covers.append(act.name)
         absorbed.add(act.name)
@@ -1096,44 +1045,23 @@ def _build_mac_step(model, mac, *, out_name: str, weight, bias,
     return step
 
 
-def compile_model(model, level: int) -> CompiledPlan:
-    """Build the compiled plan for *model* at the given level.
-
-    * level 1 — local rewrites: activation LUTs, fused MAC+requantize,
-      per-tap conv GEMMs over zero-edged streams with cast-free concats
-      folded in, per-operand concat casts, lowered routing steps.
-    * level 2 — additionally batch-norm folding and the static arena.
+def compile_model(model) -> CompiledPlan:
+    """Build the compiled plan for *model*: activation LUTs, fused
+    MAC+requantize, per-tap conv GEMMs over zero-edged streams with
+    cast-free concats folded in, per-operand concat casts, lowered
+    routing steps, all in one static arena.
 
     Nothing here is timed: compiling one model twice yields the same plan.
     """
-    report = CompileReport(level=level)
+    report = CompileReport(level=2)
     consumers: Dict[str, List[HLSKernel]] = {}
     for kernel in model.kernels:
         for dep in kernel.input_names:
             consumers.setdefault(dep, []).append(kernel)
 
-    # Pre-pass: provable batch-norm folds (level 2).
-    fold: Dict[str, tuple] = {}
-    if level >= 2:
-        for kernel in model.kernels:
-            if not isinstance(kernel, BatchNormKernel):
-                continue
-            prod = model.get_kernel(kernel.input_names[0]) \
-                if kernel.input_names[0] != "__input__" else None
-            if not isinstance(prod, (DenseKernel, Conv1DKernel)):
-                report.fallbacks[kernel.name] = "producer is not dense/conv"
-                continue
-            if consumers.get(prod.name, []) != [kernel]:
-                report.fallbacks[kernel.name] = "producer has other consumers"
-                continue
-            folded = _try_fold_bn(model, prod, kernel, report)
-            if folded is not None:
-                fold[prod.name] = (kernel,) + folded
-                report.folded.append(kernel.name)
-
     steps: List[_Step] = []
     built: Dict[str, _Step] = {}
-    absorbed: set = {f[0].name for f in fold.values()}
+    absorbed: set = set()
     concats: Dict[str, _ConcatStep] = {}  # folded into their conv
 
     for kernel in model.kernels:
@@ -1146,32 +1074,9 @@ def compile_model(model, level: int) -> CompiledPlan:
 
         elif isinstance(kernel, (DenseKernel, Conv1DKernel)):
             concat = concats.pop(kernel.input_names[0], None)
-            if kernel.name in fold:
-                bn, weight, bias, bound, prod_frac = fold[kernel.name]
-                step = _build_mac_step(
-                    model, kernel, out_name=bn.name, weight=weight,
-                    bias=bias, accum=bn.config.accum,
-                    result=bn.config.result, bound=bound,
-                    prod_frac=prod_frac, consumers=consumers,
-                    report=report, absorbed=absorbed, concat=concat)
-                if step is None:  # un-fold: run both kernels naively
-                    report.folded.remove(bn.name)
-                    del fold[kernel.name]
-                    absorbed.discard(bn.name)
-            else:
-                in_fmt = _producer_fmt(model, kernel.input_names[0])
-                w_fmt = kernel.config.weight
-                bound = _mac_bound(kernel.weight_matrix,
-                                   kernel.weights.get("bias"),
-                                   _max_abs(in_fmt))
-                prod_frac = in_fmt.fractional + w_fmt.fractional
-                step = _build_mac_step(
-                    model, kernel, out_name=kernel.name,
-                    weight=kernel.weights["kernel"],
-                    bias=kernel.weights.get("bias"),
-                    accum=kernel.config.accum, result=kernel.config.result,
-                    bound=bound, prod_frac=prod_frac, consumers=consumers,
-                    report=report, absorbed=absorbed, concat=concat)
+            step = _build_mac_step(model, kernel, consumers=consumers,
+                                   report=report, absorbed=absorbed,
+                                   concat=concat)
             if step is None:
                 if concat is not None:  # the naive conv reads the concat
                     steps.append(concat)
@@ -1230,8 +1135,8 @@ def compile_model(model, level: int) -> CompiledPlan:
                         kernel, _producer_fmt(model, kernel.input_names[0])))
 
         else:
-            report.fallbacks.setdefault(kernel.name,
-                                        f"no lowering for kind {kernel.kind!r}")
+            report.fallbacks[kernel.name] = (
+                f"no lowering for kind {kernel.kind!r}")
             step = _KernelStep(kernel)
 
         steps.append(step)
@@ -1258,4 +1163,4 @@ def compile_model(model, level: int) -> CompiledPlan:
             if claimed.setdefault(dep, pad) == pad:
                 prod.pad = pad
                 step.reads_padded[i] = True
-    return CompiledPlan(steps, report, use_arena=level >= 2)
+    return CompiledPlan(steps, report)

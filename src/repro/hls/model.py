@@ -22,7 +22,6 @@ idempotent on in-range grid values, so skipping it is bit-exact.
 from __future__ import annotations
 
 import time as _time
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -35,9 +34,6 @@ __all__ = ["HLSModel", "RunStats", "EXECUTORS"]
 
 #: Valid ``HLSModel.predict(executor=...)`` spellings.
 EXECUTORS = ("auto", "naive", "plan")
-
-#: Sentinel distinguishing "``compiled`` not passed" from ``None``.
-_UNSET = object()
 
 #: Grid widths up to this stay exactly representable through the int64 /
 #: float64 round trip, making requantization provably idempotent; wider
@@ -65,14 +61,6 @@ class RunStats:
     retained_all: bool
     compiled: bool = False
     step_times: Optional[Dict[str, float]] = None
-
-    @property
-    def kernel_times(self) -> Optional[Dict[str, float]]:
-        """Deprecated pre-observability spelling of :attr:`step_times`."""
-        warnings.warn(
-            "RunStats.kernel_times is deprecated; use RunStats.step_times",
-            DeprecationWarning, stacklevel=2)
-        return self.step_times
 
 
 class HLSModel:
@@ -205,25 +193,24 @@ class HLSModel:
         """Install the bit-exact compiled plan (see :mod:`repro.hls.compile`).
 
         * ``level=0`` — uninstall: back to the naive liveness executor.
-        * ``level=1`` — local rewrites: activation LUTs, fused
-          MAC+requantize pipelines, per-operand concat casts.
-        * ``level=2`` — additionally batch-norm folding (where provably
-          exact) and the static arena planner.
+        * ``level=2`` — activation LUTs, fused MAC+requantize pipelines,
+          per-tap conv GEMMs, per-operand concat casts and the static
+          arena planner.
 
         Returns the :class:`~repro.hls.compile.CompileReport`.  Every
         rewrite is proven bit-identical at compile time or refused, so
-        ``predict`` outputs are unchanged at any level (``trace`` always
-        runs the naive graph — the verification flow needs every
+        ``predict`` outputs are unchanged at either level (``trace``
+        always runs the naive graph — the verification flow needs every
         intermediate stream).
         """
-        if level not in (0, 1, 2):
-            raise ValueError(f"compile level must be 0, 1 or 2, got {level}")
-        from repro.hls.compile import CompileReport, compile_model
+        from repro.hls.compile import (CompileReport, check_compile_level,
+                                       compile_model)
+        check_compile_level(level)
         if level == 0:
             self._compiled = None
             self.compile_level = 0
             return CompileReport(level=0)
-        plan = compile_model(self, level)
+        plan = compile_model(self)
         self._compiled = plan
         self.compile_level = level
         return plan.report
@@ -283,8 +270,7 @@ class HLSModel:
         return values
 
     def predict(self, x: np.ndarray, *, profile: bool = False,
-                executor: Optional[str] = None,
-                compiled=_UNSET) -> np.ndarray:
+                executor: str = "auto") -> np.ndarray:
         """Quantized inference over a batch ``(n, *input_shape)``.
 
         ``executor`` selects the execution path:
@@ -296,24 +282,12 @@ class HLSModel:
         * ``"plan"`` — require the compiled plan (raises if none).
 
         ``profile=True`` records per-step wall time into
-        ``last_run_stats.step_times``.  The ``compiled=`` boolean is the
-        deprecated pre-facade spelling (True → ``"plan"``, False →
-        ``"naive"``, None → ``"auto"``).
+        ``last_run_stats.step_times``.
 
         Intermediate streams are freed as soon as their last consumer has
         run (naive path) or live in preassigned arena slots (compiled
         path), so peak memory is the plan's peak cut, not the whole DAG.
         """
-        if compiled is not _UNSET:
-            warnings.warn(
-                "predict(compiled=...) is deprecated; use "
-                "executor='plan'/'naive'/'auto'",
-                DeprecationWarning, stacklevel=2)
-            if executor is None:
-                executor = ("plan" if compiled is True
-                            else "naive" if compiled is False else "auto")
-        if executor is None:
-            executor = "auto"
         if executor not in EXECUTORS:
             raise ValueError(
                 f"executor must be one of {EXECUTORS}, got {executor!r}")

@@ -23,7 +23,7 @@ tests/test_obs.py:
 * **zero-cost when off** — no tracer object exists by default; every
   instrumented call site is a single ``is not None`` guard,
 * **bit-identical when on** — enabling observability changes no output
-  word on any executor path (naive, batched, compiled level 1/2,
+  word on any executor path (naive, batched, compiled,
   fault-injected).
 """
 

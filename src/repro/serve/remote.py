@@ -49,6 +49,7 @@ import argparse
 import os
 import pickle
 import selectors
+import signal
 import socket
 import subprocess
 import sys
@@ -972,11 +973,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     agent = HostAgent(host=args.host, port=args.port,
                       workers=args.workers,
                       max_restarts=args.max_restarts)
+    # SIGTERM (AgentProcess.close, a service manager) stops the agent
+    # the way Ctrl-C does: serve_forever's finally closes the pool, so
+    # the workers are joined and their semaphores released before exit.
+    signal.signal(signal.SIGTERM, _interrupt)
     try:
         agent.serve_forever(announce=True)
-    except KeyboardInterrupt:  # pragma: no cover - operator stop
+    except KeyboardInterrupt:
         pass
     return 0
+
+
+def _interrupt(signum, frame):
+    raise KeyboardInterrupt
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -31,7 +31,7 @@ and miss/dead-letter rates, backed by the runtime's
 :class:`~repro.soc.counters.PerformanceCounters` event counters.
 
 With an injector attached the runtime does not abandon the batched fast
-path: it runs a **speculative execution ladder** (``speculation=True``).
+path: it runs a **speculative execution ladder**.
 The block's raw outputs are precomputed up front anyway, each frame is
 validated against the schedule's taint set
 (:mod:`repro.soc.taint`), and only frames a fault actually touched —
@@ -47,6 +47,7 @@ sequential reference under every schedule (pinned by the chaos matrix in
 
 from __future__ import annotations
 
+import math
 import time as _time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
@@ -172,8 +173,8 @@ class DegradationPolicy:
     Parameters
     ----------
     watchdog_s:
-        Node-latency budget (steps 1–8) before a frame is declared hung;
-        ``None`` uses the digitizer period.
+        Node-latency budget (steps 1–8) before a frame is declared hung,
+        positive and finite; ``None`` uses the digitizer period.
     miss_threshold:
         Consecutive bad frames (deadline miss or watchdog trip) before
         switching to the fallback board.
@@ -201,8 +202,10 @@ class DegradationPolicy:
     output_high: float = 1.05
 
     def __post_init__(self):
-        if self.watchdog_s is not None and self.watchdog_s <= 0:
-            raise ValueError("watchdog_s must be positive")
+        if self.watchdog_s is not None and not (
+                math.isfinite(self.watchdog_s) and self.watchdog_s > 0):
+            raise ValueError(f"watchdog_s must be positive and finite, "
+                             f"got {self.watchdog_s}")
         if self.miss_threshold < 1:
             raise ValueError("miss_threshold must be >= 1")
         if self.recovery_streak < 1:
@@ -295,7 +298,7 @@ class CentralNodeRuntime:
     hubs / controller / acnet:
         Substituted for customization; defaults match the facility.
     period_s:
-        Digitizer frame period (3 ms).
+        Digitizer frame period (3 ms); positive and finite.
     fallback_board:
         Optional degraded-mode board (the paper's MLP design, Table 3);
         engaged by the degradation policy, never required.
@@ -315,24 +318,18 @@ class CentralNodeRuntime:
     injector: Optional[FaultInjector] = None
     policy: DegradationPolicy = field(default_factory=DegradationPolicy)
     counters: PerformanceCounters = field(default_factory=PerformanceCounters)
-    #: Batched-inference fast path: with no injector attached and the
-    #: primary engine active, the whole frame block runs through one
-    #: batched ``predict`` and the per-frame ladder consumes precomputed
-    #: output words (bit-identical; see docs/performance.md).  Disable to
-    #: force the historical frame-at-a-time compute.  Orthogonal to the
-    #: graph compiler: a board whose model carries a compiled plan
-    #: (``HLSModel.compile``) uses it on both the batched and the
-    #: frame-at-a-time path, again without changing a bit.
+    #: Batched-inference fast path: with the primary engine active, the
+    #: whole frame block runs through one batched ``predict`` and the
+    #: per-frame ladder consumes precomputed output words (bit-identical;
+    #: see docs/performance.md).  With an injector attached the block is
+    #: precomputed speculatively: every frame the schedule's taint set
+    #: leaves clean consumes its word, and only tainted frames replay
+    #: through the in-line reference path (see :mod:`repro.soc.taint`
+    #: and docs/robustness.md).  Disable to force the frame-at-a-time
+    #: compute.  Orthogonal to the graph compiler: a board whose model
+    #: carries a compiled plan (``HLSModel.compile``) uses it on both the
+    #: batched and the frame-at-a-time path, again without changing a bit.
     batch_inference: bool = True
-    #: Speculative fault-aware batching: with an injector attached, still
-    #: precompute the block's raw outputs and consume them on every frame
-    #: the schedule's taint set leaves clean, replaying only tainted
-    #: frames through the in-line reference path (see
-    #: :mod:`repro.soc.taint` and docs/robustness.md).  Disable to
-    #: restore the historical behaviour — any active schedule forces the
-    #: whole block sequential.  Only meaningful with ``batch_inference``;
-    #: bit-identical either way.
-    speculation: bool = True
     #: Observability bundle (:mod:`repro.obs`): tracer + metrics +
     #: flight recorder.  ``None`` (default) is the zero-cost no-op
     #: path; when attached, every frame emits a nested span tree, the
@@ -372,8 +369,9 @@ class CentralNodeRuntime:
     _deadline_misses: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self):
-        if self.period_s <= 0:
-            raise ValueError("period_s must be positive")
+        if not (math.isfinite(self.period_s) and self.period_s > 0):
+            raise ValueError(
+                f"period_s must be positive and finite, got {self.period_s}")
         self._tally(self.records)
         if self.obs is not None:
             self.attach_observability(self.obs)
@@ -491,11 +489,11 @@ class CentralNodeRuntime:
         # mid-block even fault-free, e.g. on jitter-spike deadline
         # misses) drop back to in-line compute frame by frame.
         #
-        # With a schedule active and ``speculation`` enabled the block is
-        # precomputed *anyway*, masked by the schedule's static taint set
-        # (rows a fault is known to invalidate are never computed); the
-        # per-frame ladder then re-validates dynamically and replays only
-        # tainted frames through the in-line reference.
+        # With a schedule active the block is precomputed *anyway*,
+        # masked by the schedule's static taint set (rows a fault is
+        # known to invalidate are never computed); the per-frame ladder
+        # then re-validates dynamically and replays only tainted frames
+        # through the in-line reference.
         obs = self.obs
         precomputed: Optional[np.ndarray] = None
         speculative = False
@@ -510,7 +508,7 @@ class CentralNodeRuntime:
                     with obs.tracer.span("batch_precompute", frames=n):
                         precomputed = self.board.ip.precompute_raw_outputs(
                             frames)
-            elif self.speculation:
+            else:
                 speculative = True
                 spec_valid = speculation_mask(
                     schedule, start, n, model_tainted=self._model_tainted)
@@ -544,8 +542,8 @@ class CentralNodeRuntime:
             if precomputed is not None:
                 on_primary = (self.fallback_board is None
                               or self.engine == ENGINE_PRIMARY)
-                if not speculative:
-                    use_batched = not events and on_primary
+                if not speculative:  # fault-free block
+                    use_batched = on_primary
                 else:
                     taint = classify_events(events)
                     if not on_primary:

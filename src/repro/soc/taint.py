@@ -3,9 +3,9 @@
 The batched fast path exists because the raw output words of a frame are
 a pure function of the frame's input vector and the model — so a whole
 block can be precomputed up front.  A fault breaks that purity in one of
-exactly four ways, and the speculative execution ladder
-(:class:`~repro.soc.runtime.CentralNodeRuntime` with ``speculation=True``)
-keys every invalidation decision off this classification:
+exactly four ways, and the speculative execution ladder of
+:class:`~repro.soc.runtime.CentralNodeRuntime` keys every invalidation
+decision off this classification:
 
 =============  ====================================  =====================
 taint class    fault kinds                           corrupted state

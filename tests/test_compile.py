@@ -6,19 +6,20 @@ the outside:
 
 * activation LUTs reproduce the naive kernel on **every** representable
   raw word of the producer format (exhaustive, U-Net and MLP),
-* compiled ``predict`` equals the naive executor at levels 1 and 2 for
-  several batch sizes,
+* compiled ``predict`` equals the naive executor for several batch
+  sizes,
 * a full 260-frame ``CentralNodeRuntime`` stream produces identical
   :class:`FrameRecord` sequences on the compiled and naive boards, with
   and without an active fault injector,
-* batch-norm folding engages on provably-exact wide formats and falls
-  back (with a recorded reason) on the paper's 16-bit formats,
+* a batch-norm kernel left in the design runs as its naive kernel, at
+  wide formats and at the paper's 16 bits,
 * convs lower to per-tap GEMMs reading their producers' zero-edged
   buffers, with the decoder concats folded in; the plan is a pure
   function of the model, holds scratch sized by the largest batch seen,
   pickles, and leaves scipy unimported when it has no conv,
-* the compile levels, the arena planner, ``RunStats`` telemetry and the
-  CLI ``--compile-level`` plumbing behave as documented.
+* the compile levels (0 and 2 only), the arena planner, ``RunStats``
+  telemetry and the CLI ``--compile-level`` plumbing behave as
+  documented.
 """
 
 import os
@@ -120,7 +121,7 @@ class TestLUTExhaustive:
             x = raw.astype(np.float64) * in_fmt.lsb
             x = np.broadcast_to(x, (1,) + x.shape).copy()
             step = _LUTStep(kernel, in_fmt, _build_lut(kernel, in_fmt))
-            got = step.run([x], None)
+            got = step.run([x], np.empty_like(x))
             want = kernel.forward([x])
             assert np.array_equal(got, want), (
                 f"{kernel.name}: LUT diverged on some raw word")
@@ -140,35 +141,15 @@ class TestCompiledPredict:
     def test_unet_level2_matches_naive(self, unet_compiled, unet_frames, n):
         x = unet_frames[:n]
         assert np.array_equal(unet_compiled.predict(x),
-                              unet_compiled.predict(x, compiled=False))
-
-    def test_unet_level1_matches_naive(self, unet_compiled, unet_frames):
-        try:
-            report = unet_compiled.compile(level=1)
-            assert report.arena_words == 0
-            assert np.array_equal(
-                unet_compiled.predict(unet_frames),
-                unet_compiled.predict(unet_frames, compiled=False))
-        finally:
-            unet_compiled.compile(level=2)
+                              unet_compiled.predict(x, executor="naive"))
 
     def test_mlp_matches_naive(self, mlp_compiled, rng):
         x = rng.normal(0.0, 1.0,
                        size=(17,) + tuple(mlp_compiled.input_shape))
         assert np.array_equal(mlp_compiled.predict(x),
-                              mlp_compiled.predict(x, compiled=False))
+                              mlp_compiled.predict(x, executor="naive"))
 
-    def test_mlp_level1_matches_naive(self, ref_bundle, rng):
-        from repro.hls.precision import uniform_config
-
-        model = convert(ref_bundle.mlp,
-                        uniform_config(16, 7, model=ref_bundle.mlp))
-        model.compile(level=1)
-        x = rng.normal(0.0, 1.0, size=(17,) + tuple(model.input_shape))
-        assert np.array_equal(model.predict(x),
-                              model.predict(x, executor="naive"))
-
-    @pytest.mark.parametrize("level", [1, 2])
+    @pytest.mark.parametrize("level", [2])
     def test_tiny_matches_naive(self, tiny_model, rng, level):
         model = convert(tiny_model, HLSConfig())
         model.compile(level=level)
@@ -252,7 +233,7 @@ class TestConvLowering:
         assert held == once.compiled_plan.held_bytes()
         assert held > 0
 
-    @pytest.mark.parametrize("level", [1, 2])
+    @pytest.mark.parametrize("level", [2])
     def test_inexact_partial_sums_fall_back_with_their_concat(self, level):
         """A bias on a finer grid than the products, with a bound large
         enough that bias-first partial sums could leave the exact window:
@@ -344,7 +325,7 @@ class TestRuntimeStreams:
 
 
 # ----------------------------------------------------------------------
-# Batch-norm folding
+# Batch-norm: folded by the conversion pass, never by the compiler
 # ----------------------------------------------------------------------
 def _bn_model():
     inp = Input((12, 1), name="in")
@@ -360,39 +341,39 @@ def _bn_model():
     return m
 
 
-class TestBatchNormFolding:
-    def _wide_config(self):
-        """Formats under which the conv→BN fold is provably exact: the
-        conv's result grid holds the full product precision, so the
-        quantization between MAC and BN is the identity."""
-        cfg = HLSConfig(strategy="fold-test")
-        f16_8 = FixedPointFormat(16, 8, rounding=Rounding.RND,
-                                 overflow=Overflow.SAT)
-        wide = FixedPointFormat(44, 28, rounding=Rounding.TRN,
-                                overflow=Overflow.SAT)  # 16 fraction bits
-        cfg.set_layer("in", result=f16_8)
-        cfg.set_layer("c", weight=f16_8, result=wide)
-        cfg.set_layer("bn", weight=f16_8)
-        return cfg
+def _wide_bn_config():
+    """Formats wide enough that the conv's result grid holds the full
+    product precision (the quantization between conv and BN is the
+    identity)."""
+    cfg = HLSConfig(strategy="wide-bn")
+    f16_8 = FixedPointFormat(16, 8, rounding=Rounding.RND,
+                             overflow=Overflow.SAT)
+    wide = FixedPointFormat(44, 28, rounding=Rounding.TRN,
+                            overflow=Overflow.SAT)  # 16 fraction bits
+    cfg.set_layer("in", result=f16_8)
+    cfg.set_layer("c", weight=f16_8, result=wide)
+    cfg.set_layer("bn", weight=f16_8)
+    return cfg
 
-    def test_fold_engages_on_wide_formats(self, rng):
-        model = convert(_bn_model(), self._wide_config())
-        report = model.compile(level=2)
-        assert report.folded == ["bn"]
-        x = rng.normal(0.0, 2.0, size=(9, 12, 1))
-        assert np.array_equal(model.predict(x),
-                              model.predict(x, compiled=False))
 
-    def test_fold_refused_at_16_bit(self):
-        model = convert(_bn_model(), HLSConfig())
-        report = model.compile(level=2)
-        assert report.folded == []
-        assert report.fallbacks.get("bn")  # reason recorded
-
-    def test_level1_never_folds(self):
-        model = convert(_bn_model(), self._wide_config())
-        report = model.compile(level=1)
-        assert report.folded == []
+class TestBatchNorm:
+    @pytest.mark.parametrize("make_config", [_wide_bn_config, HLSConfig],
+                             ids=["wide", "16-bit"])
+    def test_bn_runs_as_naive_kernel_step(self, make_config, rng):
+        """Folding a batch-norm is a rewrite of the design
+        (``repro.hls.passes.fuse.fuse_batchnorm``); one left in the
+        design runs its naive kernel inside the compiled plan, at wide
+        formats and at 16 bits alike."""
+        x = rng.normal(0.0, 2.0, size=(7, 12, 1))
+        model = convert(_bn_model(), make_config())
+        model.compile(level=2)
+        kinds = {step.name: type(step).__name__
+                 for step in model.compiled_plan.steps}
+        assert kinds["bn"] == "_KernelStep"
+        for n in (1, 2, 7):
+            assert np.array_equal(
+                model.predict(x[:n]),
+                model.predict(x[:n], executor="naive")), n
 
 
 # ----------------------------------------------------------------------
@@ -403,6 +384,28 @@ class TestCompileAPI:
         with pytest.raises(ValueError):
             mlp_compiled.compile(level=3)
         assert mlp_compiled.compiled  # refused call left the plan alone
+
+    def test_level_1_refused_naming_valid_levels(self, mlp_compiled,
+                                                 capsys):
+        """Level 1 is gone everywhere a level is accepted, and every
+        refusal names the valid levels."""
+        from repro.experiments.cli import main
+        from repro.experiments.common import converted_at, set_compile_level
+
+        valid = "must be 0 or 2"
+        for bad in (1, True):
+            with pytest.raises(ValueError, match=valid):
+                repro.RuntimeConfig(compile_level=bad)
+        with pytest.raises(ValueError, match=valid):
+            mlp_compiled.compile(level=1)
+        assert mlp_compiled.compile_level == 2
+        with pytest.raises(ValueError, match=valid):
+            set_compile_level(1)
+        with pytest.raises(ValueError, match=valid):
+            converted_at(STRATEGY, 1)
+        with pytest.raises(SystemExit):
+            main(["--compile-level", "1", "--list"])
+        assert "choose from 0, 2" in capsys.readouterr().err
 
     def test_level0_uninstalls(self, ref_bundle, rng):
         from repro.hls.precision import uniform_config
@@ -425,7 +428,7 @@ class TestCompileAPI:
                         uniform_config(16, 7, model=ref_bundle.mlp))
         x = rng.normal(0.0, 1.0, size=(2,) + tuple(model.input_shape))
         with pytest.raises(ValueError):
-            model.predict(x, compiled=True)
+            model.predict(x, executor="plan")
 
     def test_runstats_telemetry(self, mlp_compiled, rng):
         x = rng.normal(0.0, 1.0,
@@ -433,20 +436,20 @@ class TestCompileAPI:
         mlp_compiled.predict(x)
         stats = mlp_compiled.last_run_stats
         assert stats.compiled
-        assert stats.kernel_times is None
+        assert stats.step_times is None
 
         mlp_compiled.predict(x, profile=True)
-        times = mlp_compiled.last_run_stats.kernel_times
+        times = mlp_compiled.last_run_stats.step_times
         assert times is not None
         assert set(times) == {s.name
                               for s in mlp_compiled.compiled_plan.steps}
         assert all(t >= 0.0 for t in times.values())
 
-        mlp_compiled.predict(x, compiled=False, profile=True)
+        mlp_compiled.predict(x, executor="naive", profile=True)
         stats = mlp_compiled.last_run_stats
         assert not stats.compiled
-        assert set(stats.kernel_times) == {k.name
-                                           for k in mlp_compiled.kernels}
+        assert set(stats.step_times) == {k.name
+                                         for k in mlp_compiled.kernels}
 
     def test_trace_stays_naive(self, mlp_compiled, rng):
         x = rng.normal(0.0, 1.0,
@@ -471,7 +474,7 @@ class TestCompileAPI:
     def test_cli_accepts_compile_level(self, capsys):
         from repro.experiments.cli import main
 
-        assert main(["--compile-level", "1", "--list"]) == 0
+        assert main(["--compile-level", "2", "--list"]) == 0
         assert "table1" in capsys.readouterr().out
         with pytest.raises(SystemExit):
             main(["--compile-level", "7", "--list"])

@@ -49,7 +49,7 @@ def frames():
 
 
 def make_runtime(tiny_hls, specs=None, seed=2024, with_fallback=True,
-                 batch=True, speculation=True, **policy_kw):
+                 batch=True, **policy_kw):
     """A fresh runtime over tiny boards (identical primary/fallback)."""
     return CentralNodeRuntime(
         board=AchillesBoard(tiny_hls),
@@ -60,7 +60,6 @@ def make_runtime(tiny_hls, specs=None, seed=2024, with_fallback=True,
                   if specs is not None else None),
         policy=DegradationPolicy(**policy_kw),
         batch_inference=batch,
-        speculation=speculation,
     )
 
 
@@ -130,6 +129,19 @@ class TestWatchdog:
         assert records[1].decision.machine is None
         assert [r.status for r in records[2:]] == [STATUS_OK, STATUS_OK]
         assert runtime.health_report().watchdog_trips == 1
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_period_or_budget_rejected(self, tiny_hls, bad):
+        """NaN and inf pass a ``<= 0`` check but compare False against
+        every latency, which would silently disable the watchdog."""
+        from repro import RuntimeConfig
+
+        with pytest.raises(ValueError, match="finite"):
+            RuntimeConfig(period_s=bad)
+        with pytest.raises(ValueError, match="finite"):
+            CentralNodeRuntime(board=AchillesBoard(tiny_hls), period_s=bad)
+        with pytest.raises(ValueError, match="finite"):
+            DegradationPolicy(watchdog_s=bad)
 
 
 class TestLastKnownGood:
@@ -388,9 +400,9 @@ class TestChaosSweep:
 class TestChaosBitIdentityMatrix:
     """Acceptance criterion for the speculative ladder: a ≥220-frame
     chaos sweep produces records bit-identical to the sequential
-    reference across injector seeds × compile levels {0, 1, 2} ×
-    speculation on/off — and with speculation on, the counters prove the
-    majority of fault-free frames rode the batched fast path."""
+    reference across injector seeds × compile levels {0, 2} — and the
+    counters prove the majority of fault-free frames rode the batched
+    fast path."""
 
     # Every fault class at a moderate rate: chaotic enough that every
     # taint class fires repeatedly over 220 frames, light enough that
@@ -421,37 +433,29 @@ class TestChaosBitIdentityMatrix:
         reference = ref_rt.run(frames[:n], seed=11)
         assert any(r.fault_kinds for r in reference)
 
-        for level in (0, 1, 2):
-            for speculation in (True, False):
-                hls = convert(tiny_model, HLSConfig())
-                if level:
-                    hls.compile(level=level)
-                rt = make_runtime(hls, self.SPECS, seed=inj_seed,
-                                  speculation=speculation,
-                                  miss_threshold=2, recovery_streak=8)
-                records = rt.run(frames[:n], seed=11)
-                label = f"level={level} speculation={speculation}"
-                assert records == reference, label
+        for level in (0, 2):
+            hls = convert(tiny_model, HLSConfig())
+            hls.compile(level=level)
+            rt = make_runtime(hls, self.SPECS, seed=inj_seed,
+                              miss_threshold=2, recovery_streak=8)
+            records = rt.run(frames[:n], seed=11)
+            label = f"level={level}"
+            assert records == reference, label
 
-                batched = rt.counters.count("frame.batched")
-                speculated = rt.counters.count("spec.speculated")
-                replayed = rt.counters.count("spec.replayed")
-                if speculation:
-                    # Every frame either speculated or replayed, and the
-                    # majority of the block rode the fast path.
-                    assert batched == speculated, label
-                    assert speculated + replayed == n, label
-                    assert speculated > n // 2, label
-                    # Majority of *fault-free* frames rode it, proved
-                    # from the counters alone: a fault-free frame can
-                    # only replay via model-state propagation (scrubs)
-                    # or fallback-engine residency, never input taint.
-                    clean = sum(1 for r in records if not r.fault_kinds)
-                    inval = rt.health_report().invalidation_counts
-                    clean_replays = (inval.get("model_state", 0)
-                                     + inval.get("fallback", 0))
-                    assert clean_replays < clean / 2, label
-                else:
-                    # Historical behaviour: injector disengages batching.
-                    assert batched == 0, label
-                    assert speculated == 0 and replayed == 0, label
+            batched = rt.counters.count("frame.batched")
+            speculated = rt.counters.count("spec.speculated")
+            replayed = rt.counters.count("spec.replayed")
+            # Every frame either speculated or replayed, and the
+            # majority of the block rode the fast path.
+            assert batched == speculated, label
+            assert speculated + replayed == n, label
+            assert speculated > n // 2, label
+            # Majority of *fault-free* frames rode it, proved from the
+            # counters alone: a fault-free frame can only replay via
+            # model-state propagation (scrubs) or fallback-engine
+            # residency, never input taint.
+            clean = sum(1 for r in records if not r.fault_kinds)
+            inval = rt.health_report().invalidation_counts
+            clean_replays = (inval.get("model_state", 0)
+                             + inval.get("fallback", 0))
+            assert clean_replays < clean / 2, label

@@ -12,8 +12,7 @@ pins some piece of that proof:
 * the runtime's ``batch_inference`` path replays the sequential records
   exactly — fault-free, with a fallback board, and with an injector
   (speculatively: tainted frames replay in-line, clean frames ride the
-  precomputed words; ``speculation=False`` restores the historical
-  whole-block disengage),
+  precomputed words),
 * the vectorized round/saturate pipeline matches a scalar pure-Python
   reference on every rounding × overflow mode,
 * ``derive_stream_seeds`` decorrelates successive ``run()`` calls while
@@ -61,8 +60,7 @@ def frames():
     return rng.normal(0.0, 1.0, size=(64, N_MONITORS))
 
 
-def make_runtime(hls_model, batch=True, specs=None, with_fallback=False,
-                 speculation=True):
+def make_runtime(hls_model, batch=True, specs=None, with_fallback=False):
     return CentralNodeRuntime(
         board=AchillesBoard(hls_model),
         fallback_board=AchillesBoard(hls_model) if with_fallback else None,
@@ -72,7 +70,6 @@ def make_runtime(hls_model, batch=True, specs=None, with_fallback=False,
                   if specs is not None else None),
         policy=DegradationPolicy(),
         batch_inference=batch,
-        speculation=speculation,
     )
 
 
@@ -185,23 +182,6 @@ class TestRuntimeFastPath:
         fast = make_runtime(tiny_hls, batch=True, with_fallback=True)
         slow = make_runtime(tiny_hls, batch=False, with_fallback=True)
         assert fast.run(frames, seed=4) == slow.run(frames, seed=4)
-
-    def test_injector_disengages_without_speculation(self, tiny_hls, frames):
-        """speculation=False pins the historical behaviour: any active
-        schedule forces the whole block sequential."""
-        specs = [NoisyMonitorFault(rate=0.4, sigma=0.5),
-                 HubDelayFault(rate=0.3, delay_s=1e-4)]
-        fast = make_runtime(tiny_hls, batch=True, specs=specs,
-                            with_fallback=True, speculation=False)
-        slow = make_runtime(tiny_hls, batch=False, specs=specs,
-                            with_fallback=True)
-        rec_fast = fast.run(frames, seed=11)
-        rec_slow = slow.run(frames, seed=11)
-        assert rec_fast == rec_slow
-        assert any(r.fault_kinds for r in rec_fast)
-        assert fast.counters.count("frame.batched") == 0
-        assert fast.counters.count("spec.speculated") == 0
-        assert fast.counters.count("spec.replayed") == 0
 
     def test_successive_runs_identical(self, tiny_hls, frames):
         """The fast path composes across run() calls like the slow one."""

@@ -4,16 +4,13 @@
 The load-bearing guarantees pinned here:
 
 * the tracer is a pure observer — every executor path (naive,
-  batched, compiled level 1/2) is bit-identical with obs on vs off,
+  batched, compiled) is bit-identical with obs on vs off,
 * the 260-frame span tree has the documented shape (one ``frame`` root
   per tick, every board stage + decide/publish nested under it),
 * fixed-bucket histogram percentiles are deterministic upper-edge
   values a test can pin exactly,
 * the flight recorder is a true ring and freezes a post-mortem the
-  moment a watchdog trip lands,
-* the deprecation shims (``predict(compiled=...)``,
-  ``RunStats.kernel_times``, positional ``codesign_and_deploy``) warn
-  but keep old call sites working.
+  moment a watchdog trip lands.
 """
 
 import json
@@ -316,7 +313,6 @@ class TestBitIdentity:
     PATHS = [
         pytest.param(dict(level=0, batch=False), id="naive-sequential"),
         pytest.param(dict(level=0, batch=True), id="batched"),
-        pytest.param(dict(level=1, batch=True), id="compiled-l1"),
         pytest.param(dict(level=2, batch=True), id="compiled-l2"),
     ]
 
@@ -348,44 +344,6 @@ class TestBitIdentity:
 
 
 # ----------------------------------------------------------------------
-# Deprecation shims
-# ----------------------------------------------------------------------
-class TestDeprecationShims:
-    def test_predict_compiled_false_maps_to_naive(self, obs_hls):
-        x = frames_for(4).reshape(4, N_MONITORS, 1)
-        with pytest.warns(DeprecationWarning, match="executor="):
-            old = obs_hls.predict(x, compiled=False)
-        assert np.array_equal(old, obs_hls.predict(x, executor="naive"))
-
-    def test_predict_compiled_true_maps_to_plan(self, obs_model):
-        hls = convert(obs_model, HLSConfig())
-        hls.compile(level=1)
-        x = frames_for(4).reshape(4, N_MONITORS, 1)
-        with pytest.warns(DeprecationWarning, match="executor="):
-            old = hls.predict(x, compiled=True)
-        assert np.array_equal(old, hls.predict(x, executor="plan"))
-
-    def test_run_stats_kernel_times_alias(self, obs_hls):
-        x = frames_for(2).reshape(2, N_MONITORS, 1)
-        obs_hls.predict(x, profile=True)
-        stats = obs_hls.last_run_stats
-        with pytest.warns(DeprecationWarning, match="step_times"):
-            old = stats.kernel_times
-        assert old == stats.step_times
-
-    def test_codesign_positional_legacy_warns(self):
-        inp = Input((8, 1), name="in")
-        x = Dense(2, seed=4, name="d")(inp)
-        x = Sigmoid(name="s")(x)
-        model = Model(inp, Flatten(name="f")(x), name="toy")
-        profile = np.random.default_rng(0).normal(size=(24, 8, 1)) * 40
-        with pytest.warns(DeprecationWarning, match="keyword"):
-            design, deployment = repro.codesign_and_deploy(
-                model, profile, None, 16, 4)
-        assert deployment.verification
-
-
-# ----------------------------------------------------------------------
 # The facade itself
 # ----------------------------------------------------------------------
 class TestFacade:
@@ -396,9 +354,9 @@ class TestFacade:
 
     def test_build_runtime_from_float_model(self, obs_model):
         rt = build_runtime(obs_model,
-                           config=RuntimeConfig(compile_level=1),
+                           config=RuntimeConfig(compile_level=2),
                            plant=BeamLossPlant(min_votes=1))
-        assert rt.board.ip.hls_model.compile_level == 1
+        assert rt.board.ip.hls_model.compile_level == 2
         assert rt.hubs.n_monitors == N_MONITORS
         assert rt.obs is None            # zero-cost default: no tracer
         assert rt.board.tracer is None

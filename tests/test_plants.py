@@ -9,13 +9,12 @@ The load-bearing guarantees pinned here:
 * **plant conformance** — both shipped plants honor the session
   contract: seeded determinism, 1-D float64 frames, picklable specs,
 * **closed-loop bit-identity** — a cartpole run is identical across
-  every executor tier (naive / batched / compiled 0–2, speculation
-  on and off) under fault injection, and on the worker-pool farm
-  (including worker-crash chaos),
+  every executor tier (sequential / batched, naive / compiled) under
+  fault injection, and on the worker-pool farm (including
+  worker-crash chaos),
 * the redesigned facade validates its inputs (ready runtime + build
   keywords now raises, closed-loop plants are rejected by the
-  frame-shipping entry points) and the deprecation shims warn while
-  still honoring the old knobs.
+  frame-shipping entry points).
 """
 
 import json
@@ -228,28 +227,19 @@ class TestCartpoleClosedLoop:
         assert np.all(probs < 0.5)
         assert cartpole.action_from_output(probs) is None
 
-    #: (batch_inference, speculation, compile_level) executor matrix.
-    EXECUTORS = [
-        (False, False, 0),
-        (False, True, 0),
-        (True, False, 0),
-        (True, True, 0),
-        (True, True, 1),
-        (True, False, 2),
-        (True, True, 2),
-    ]
+    #: (batch_inference, compile_level) executor matrix.
+    EXECUTORS = [(False, 0), (False, 2), (True, 0), (True, 2)]
 
     def test_bit_identical_across_executors_under_chaos(self,
                                                         cartpole_model):
         runs = {}
-        for batch, spec, level in self.EXECUTORS:
+        for batch, level in self.EXECUTORS:
             result = cartpole_loop(cartpole_model,
                                    injector=chaos_injector(),
                                    batch_inference=batch,
-                                   speculation=spec,
                                    compile_level=level)
-            runs[(batch, spec, level)] = serialize_records(result.records)
-        reference = runs[(False, False, 0)]
+            runs[(batch, level)] = serialize_records(result.records)
+        reference = runs[(False, 0)]
         for key, records in runs.items():
             assert records == reference, (
                 f"executor {key} diverged from the naive reference")
@@ -295,7 +285,7 @@ class TestCartpoleFarm:
     def farm_for(self, model, **kwargs):
         return build_farm(
             model,
-            config=RuntimeConfig(batch_inference=True, compile_level=1),
+            config=RuntimeConfig(batch_inference=True, compile_level=2),
             plant=CartpolePlant(),
             n_shards=2,
             seed=5,
@@ -388,7 +378,7 @@ class TestControlQuality:
 
 
 # ----------------------------------------------------------------------
-# Facade redesign: validation + deprecation shims
+# Facade redesign: validation, one spelling per API
 # ----------------------------------------------------------------------
 class TestFacadeRedesign:
     def test_ready_runtime_plus_build_kwargs_raises(self, tiny_model):
@@ -413,42 +403,25 @@ class TestFacadeRedesign:
         with pytest.raises(ValueError, match="8-monitor"):
             build_runtime(tiny_model, plant=CartpolePlant())
 
-    def test_n_hubs_min_votes_deprecated_but_honored(self, tiny_model):
-        with pytest.deprecated_call(match="n_hubs"):
-            config = RuntimeConfig(n_hubs=2)
-        runtime = build_runtime(
-            tiny_model, config=config,
-            plant=BeamLossPlant(min_votes=1, **SMALL_BEAMLOSS))
-        assert runtime.plant.n_hubs == 2
-        assert runtime.hubs.n_hubs == 2
+    def test_removed_spellings_fail_loudly(self, tiny_model):
+        """Every API has one spelling: the removed keyword and attribute
+        aliases raise instead of being silently accepted."""
+        from repro.hls import HLSConfig, convert
+        from repro.hls.model import RunStats
 
-        with pytest.deprecated_call(match="min_votes"):
-            config = RuntimeConfig(min_votes=1)
-        runtime = build_runtime(tiny_model, config=config,
-                                plant=BeamLossPlant(**SMALL_BEAMLOSS))
-        assert runtime.plant.min_votes == 1
-
-    def test_deprecated_overrides_need_beamloss(self, cartpole_model):
-        with pytest.deprecated_call():
-            config = RuntimeConfig(min_votes=1)
-        with pytest.raises(ValueError, match="BeamLossPlant"):
-            build_runtime(cartpole_model, config=config,
-                          plant=CartpolePlant())
-
-    def test_latencies_s_deprecated_alias(self, cartpole_model):
-        result = run_control_loop(cartpole_model, n_frames=4,
-                                  plant=CartpolePlant())
-        with pytest.deprecated_call(match="total_latencies_s"):
-            legacy = result.latencies_s
-        assert np.array_equal(legacy, result.total_latencies_s)
-        assert result.total_latencies_s.shape == (4,)
-
-    def test_load_pretrained_include_bn_deprecated(self, reference_bundle):
-        del reference_bundle  # shipped weights must exist
-        with pytest.deprecated_call(match="include_bn"):
-            bundle = repro.load_pretrained(include_bn=False,
-                                           train_if_missing=False)
-        assert bundle.unet is not None
+        for removed in ("n_hubs", "min_votes", "speculation"):
+            with pytest.raises(TypeError, match=removed):
+                RuntimeConfig(**{removed: 1})
+        with pytest.raises(TypeError, match="include_bn"):
+            repro.load_pretrained(include_bn=False)
+        hls = convert(tiny_model, HLSConfig())
+        with pytest.raises(TypeError, match="compiled"):
+            hls.predict(np.zeros((1, 16, 1)), compiled=True)
+        with pytest.raises(TypeError):
+            repro.codesign_and_deploy(tiny_model, np.zeros((4, 16, 1)),
+                                      None)
+        assert not hasattr(RunStats, "kernel_times")
+        assert not hasattr(repro.ControlLoopResult, "latencies_s")
 
     def test_plants_exported_at_top_level(self):
         assert issubclass(repro.BeamLossPlant, repro.Plant)

@@ -8,12 +8,15 @@ The cross-host guarantees pinned here:
 * SIGKILLing an agent mid-run is survivable: the pool requeues the
   dead host's in-flight shards under the restart budget and the
   results are still bit-identical (partition-aware recovery),
+* closing an agent (SIGTERM) shuts its pool down in order: exit code
+  0, no worker or resource tracker left behind,
 * the ``repro-hosts/1`` handshake refuses unknown protocol versions
   with a clean application-level error, never a framing poison,
 * the bursty traffic-replay generator is seeded-deterministic: same
   seed, same arrival schedule, same shed decisions, bit for bit.
 """
 
+import os
 import socket
 import time
 
@@ -63,6 +66,33 @@ def tiny_hls():
 def frames_for(n, seed=77):
     rng = np.random.default_rng(seed)
     return rng.normal(0.0, 1.0, size=(n, N_MONITORS))
+
+
+def _children(pid):
+    """``(pid, cmdline)`` of every process whose parent is *pid*."""
+    out = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as f:
+                ppid = int(f.read().rsplit(")", 1)[1].split()[1])
+            with open(f"/proc/{entry}/cmdline", "rb") as f:
+                cmd = f.read().replace(b"\0", b" ").decode()
+        except OSError:
+            continue
+        if ppid == pid:
+            out.append((int(entry), cmd))
+    return out
+
+
+def _alive(pid):
+    """True while *pid* exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
 
 
 def farm_for(hls, *, level=0, n_shards=3, hosts=(), seed=3):
@@ -119,7 +149,7 @@ class TestHelpers:
 # Cross-host bit-identity + partition recovery (real agent processes)
 # ----------------------------------------------------------------------
 class TestCrossHost:
-    @pytest.mark.parametrize("level", [0, 1, 2])
+    @pytest.mark.parametrize("level", [0, 2])
     def test_remote_topologies_bit_identical(self, tiny_hls, level):
         frames = frames_for(24)
         farm = farm_for(tiny_hls, level=level)
@@ -170,6 +200,35 @@ class TestCrossHost:
                 assert np.array_equal(handle2.outputs, ref.outputs)
             finally:
                 pool.close()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"),
+                        reason="reads the process table from /proc")
+    def test_close_exits_zero_and_leaves_no_children(self, tiny_hls):
+        """close() sends SIGTERM; the agent takes the Ctrl-C path
+        (pool closed, workers joined) and exits 0.  Its resource
+        tracker follows once the agent's end of its pipe closes."""
+        frames = frames_for(12)
+        farm = farm_for(tiny_hls, n_shards=2)
+        agent = spawn_agent(workers=2)
+        try:
+            hosted = ShardedNodeFarm(
+                farm.spec, n_shards=2, batching=farm.batching,
+                seed=farm.seed, hosts=[agent.address])
+            res = hosted.serve(frames, workers=0)
+            assert res.health.host_failures == 0
+            kids = _children(agent.pid)
+            workers = [pid for pid, cmd in kids
+                       if "resource_tracker" not in cmd]
+            assert len(workers) == 2, kids
+        finally:
+            agent.close()
+        assert agent.proc.returncode == 0
+        assert not any(_alive(pid) for pid in workers)  # joined on exit
+        deadline = time.monotonic() + 10.0
+        while (any(_alive(pid) for pid, _ in kids)
+               and time.monotonic() < deadline):
+            time.sleep(0.05)
+        assert not any(_alive(pid) for pid, _ in kids), kids
 
     def test_partition_budget_exhausts_into_crash_error(self, tiny_hls):
         # One host, no local workers, budget 0: losing the only link

@@ -189,10 +189,10 @@ def _bench(run_round: Callable[[], List[float]], rounds: int,
 def _per_kernel(naive_model, compiled_model, unet_in) -> Dict[str, object]:
     """Per-kernel milliseconds of one profiled batched pass per executor.
 
-    Compiled fused steps cover several naive kernels (a conv, its folded
-    bias/BN and its activation run as one step); the ``compiled`` table
-    keys them by step name and lists the absorbed kernels under
-    ``covers`` so the two columns stay comparable.
+    Compiled fused steps cover several naive kernels (a decoder concat,
+    its conv and the conv's activation run as one step); the
+    ``compiled`` table keys them by step name and lists the absorbed
+    kernels under ``covers`` so the two columns stay comparable.
     """
     naive_model.predict(unet_in, profile=True, executor="naive")
     naive_ms = {k: v * 1e3
@@ -667,7 +667,6 @@ def build_report(quick: bool = False) -> Dict[str, object]:
                 "level": 2,
                 "luts": len(compile_report.luts),
                 "fused": len(compile_report.fused),
-                "folded_bn": len(compile_report.folded),
                 "arena_words": compile_report.arena_words,
             },
             "chaos": {
