@@ -366,9 +366,9 @@ def build_farm(model: ModelLike, *,
 
     *hosts* is a sequence of ``"host:port"`` addresses of running
     ``repro-hosts/1`` agents (``python -m repro.serve.remote``); when
-    non-empty, ``serve()`` dispatches shard groups across those agents
-    (plus any local workers) through a
-    :class:`~repro.serve.remote.HostPool` — bit-identical to the
+    non-empty, ``serve()`` dispatches shard tasks across those agents
+    (plus any local workers), each a link of one
+    :class:`~repro.serve.workers.Pool` — bit-identical to the
     single-machine run, with partition-aware crash recovery.
 
     *plant* rides the (picklable) spec to every replica.  Closed-loop

@@ -4,8 +4,8 @@ serve-bench and daemon-bench pin the determinism contract for a farm
 and a socket daemon on *one* machine; this harness extends the proof
 across the host boundary.  Two localhost host agents
 (:func:`~repro.serve.remote.spawn_agent` — separate processes, real
-TCP, separate worker pools) take the farm's shard tasks through a
-:class:`~repro.serve.remote.HostPool`, and every output row must be
+TCP, separate worker pools) take the farm's shard tasks as links of
+one :class:`~repro.serve.workers.Pool`, and every output row must be
 bit-identical to the sequential in-process reference.  The second
 round SIGKILLs one agent mid-flight: the pool must detect the
 partition, requeue that host's in-flight shards onto the survivors
@@ -72,13 +72,15 @@ def run(fast: bool = False) -> ExperimentResult:
         pool = farm2.start_pool(workers=0)
         try:
             t0 = time.perf_counter()
-            handle = pool.submit(
-                np.ascontiguousarray(frames, dtype=np.float64),
-                list(farm2.plan(n_frames).tasks))
+            tasks = farm2.plan(n_frames, frames=frames).tasks
+            handle = pool.submit(tasks)
             a2.kill()                      # hard partition, mid-run
             pool.wait(handle)
             wall2 = time.perf_counter() - t0
-            same2 = bool(np.array_equal(handle.outputs, ref.outputs))
+            # Shard s holds global rows s, s + n_shards, ...
+            same2 = all(np.array_equal(handle.results[t.task_id].rows,
+                                       ref.outputs[t.session::n_shards])
+                        for t in tasks)
             if not same2:
                 divergent.append("post-partition run diverged "
                                  "from reference")

@@ -33,7 +33,7 @@ __all__ = ["run"]
 
 
 def _identical(reference, result) -> bool:
-    """Full-stream bit identity: records and shared-memory outputs."""
+    """Full-stream bit identity: records and output rows."""
     return (reference.records == result.records
             and np.array_equal(reference.outputs, result.outputs))
 
@@ -93,7 +93,7 @@ def run(fast: bool = False) -> ExperimentResult:
         f"{reference.plan.n_batches} micro-batches (backlog arrivals, "
         f"max_batch={farm.batching.max_batch})",
         "determinism contract: every mode's FrameRecord stream and "
-        "shared-memory output block must equal the sequential reference "
+        "output block must equal the sequential reference "
         "bit for bit (docs/serving.md)",
         f"chaos run: {chaos.health.worker_restarts} worker restart(s), "
         f"{chaos.health.requeued_tasks} requeued shard task(s), still "

@@ -6,7 +6,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.beamloss.dataset import (
     DeblendingDataset,
@@ -65,10 +65,13 @@ def _weights_path(name: str) -> Path:
     return DATA_DIR / f"{name}.npz"
 
 
+def _names(include_bn: bool) -> List[str]:
+    return ["unet", "mlp"] + (["unet_bn"] if include_bn else [])
+
+
 def bundle_available(include_bn: bool = False) -> bool:
     """Whether pre-trained weight files exist on disk."""
-    names = ["unet", "mlp"] + (["unet_bn"] if include_bn else [])
-    return all(_weights_path(n).exists() for n in names)
+    return all(_weights_path(n).exists() for n in _names(include_bn))
 
 
 def load_reference_bundle(include_bn: bool = False,
@@ -80,18 +83,20 @@ def load_reference_bundle(include_bn: bool = False,
     include_bn:
         Also load the batch-norm-standardizer U-Net variant.
     train_if_missing:
-        Train from scratch when weight files are absent (minutes of CPU);
-        otherwise a missing file raises ``FileNotFoundError`` pointing at
-        ``tools/pretrain.py``.
+        Train the models whose weight files are absent (minutes of CPU)
+        and write only those files, so shipped weights are never
+        replaced; otherwise a missing file raises ``FileNotFoundError``
+        pointing at ``tools/pretrain.py``.
     """
     dataset = reference_dataset()
-    if not bundle_available(include_bn):
+    missing = [n for n in _names(include_bn) if not _weights_path(n).exists()]
+    if missing:
         if not train_if_missing:
             raise FileNotFoundError(
                 f"pre-trained weights not found under {DATA_DIR}; "
                 "run `python tools/pretrain.py` (or pass train_if_missing=True)"
             )
-        return train_and_save_bundle(dataset, include_bn=include_bn)
+        _train_and_save(dataset, missing)
 
     unet = build_unet(seed=0)
     load_weights(unet, _weights_path("unet"))
@@ -110,38 +115,40 @@ def load_reference_bundle(include_bn: bool = False,
 def train_and_save_bundle(dataset: Optional[DeblendingDataset] = None,
                           include_bn: bool = True,
                           verbose: bool = False) -> ReferenceBundle:
-    """Train all reference models and persist them under ``DATA_DIR``."""
+    """Retrain every reference model and persist them under ``DATA_DIR``
+    (``tools/pretrain.py``: the explicit way to replace shipped weights)."""
     dataset = dataset or reference_dataset()
+    models, metadata = _train_and_save(dataset, _names(include_bn), verbose)
+    return ReferenceBundle(dataset=dataset, unet=models["unet"],
+                           mlp=models["mlp"], unet_bn=models.get("unet_bn"),
+                           metadata=metadata)
+
+
+def _train_and_save(dataset: DeblendingDataset, names: List[str],
+                    verbose: bool = False) -> Tuple[Dict[str, Model], dict]:
+    """Train the *names* reference models and write their weight files.
+
+    Their entries in ``metadata.json`` are replaced and every other
+    entry is kept.  Returns the trained models by name and the metadata.
+    """
     os.makedirs(DATA_DIR, exist_ok=True)
-
-    unet, unet_hist = train_reference_unet(dataset, verbose=verbose,
-                                           **TRAINING_KWARGS)
-    save_weights(unet, _weights_path("unet"))
-    mlp, mlp_hist = train_reference_mlp(dataset, verbose=verbose,
-                                        **MLP_TRAINING_KWARGS)
-    save_weights(mlp, _weights_path("mlp"))
-
-    unet_bn = None
-    bn_final = None
-    if include_bn:
-        unet_bn, bn_hist = train_reference_unet(
-            dataset, batchnorm_standardizer=True, verbose=verbose,
-            **BN_TRAINING_KWARGS,
-        )
-        save_weights(unet_bn, _weights_path("unet_bn"))
-        bn_final = bn_hist.final_loss
-
-    metadata = {
-        "dataset": {k: v for k, v in REFERENCE_DATASET_KWARGS.items()},
-        "unet": {"final_loss": unet_hist.final_loss,
-                 "val_loss": unet_hist.val_loss[-1],
-                 **TRAINING_KWARGS},
-        "mlp": {"final_loss": mlp_hist.final_loss,
-                "val_loss": mlp_hist.val_loss[-1],
-                **MLP_TRAINING_KWARGS},
-    }
-    if bn_final is not None:
-        metadata["unet_bn"] = {"final_loss": bn_final, **BN_TRAINING_KWARGS}
-    (DATA_DIR / "metadata.json").write_text(json.dumps(metadata, indent=2))
-    return ReferenceBundle(dataset=dataset, unet=unet, mlp=mlp,
-                           unet_bn=unet_bn, metadata=metadata)
+    meta_path = DATA_DIR / "metadata.json"
+    metadata = json.loads(meta_path.read_text()) if meta_path.exists() else {}
+    metadata.setdefault("dataset", dict(REFERENCE_DATASET_KWARGS))
+    models: Dict[str, Model] = {}
+    for name in names:
+        if name == "mlp":
+            kwargs = MLP_TRAINING_KWARGS
+            model, hist = train_reference_mlp(dataset, verbose=verbose,
+                                              **kwargs)
+        else:
+            bn = name == "unet_bn"
+            kwargs = BN_TRAINING_KWARGS if bn else TRAINING_KWARGS
+            model, hist = train_reference_unet(
+                dataset, batchnorm_standardizer=bn, verbose=verbose, **kwargs)
+        save_weights(model, _weights_path(name))
+        metadata[name] = {"final_loss": hist.final_loss,
+                          "val_loss": hist.val_loss[-1], **kwargs}
+        models[name] = model
+    meta_path.write_text(json.dumps(metadata, indent=2))
+    return models, metadata

@@ -14,8 +14,9 @@ Layering (bottom up):
   seed derivation,
 * :mod:`repro.serve.batching` — deadline-aware micro-batch planning on
   the simulated arrival clock,
-* :mod:`repro.serve.workers` — picklable replica specs, pure shard
-  tasks, the shared-memory worker pool with crash recovery,
+* :mod:`repro.serve.workers` — picklable replica specs, the one task
+  (a seeded session resumed at a frame), and the one pool whose links
+  are local spawn workers or host agents, with crash recovery,
 * :mod:`repro.serve.merge` — per-shard metrics/span snapshot merging
   into one ``repro-obs/1`` export,
 * :mod:`repro.serve.health` — :class:`FarmHealth` aggregation,
@@ -26,10 +27,9 @@ Layering (bottom up):
 * :mod:`repro.serve.daemon` — :class:`ServingDaemon`, the persistent
   socket-serving front: warm worker pool, per-stream micro-batching,
   admission control, drain/reload,
-* :mod:`repro.serve.remote` — the ``repro-hosts/1`` cross-host shard
-  transport: :class:`HostAgent` processes execute shard tasks for a
-  :class:`HostPool` that dispatches across hosts + local workers with
-  partition-aware recovery,
+* :mod:`repro.serve.remote` — the ``repro-hosts/1`` cross-host task
+  transport: :class:`HostAgent` processes run tasks for pool links on
+  other machines, with partition-aware recovery,
 * :mod:`repro.serve.replay` — seeded bursty traffic-replay load
   generation (deterministic admission simulation + live driver).
 
@@ -66,18 +66,13 @@ from repro.serve.workers import (
     STATUS_CODES,
     BlockHandle,
     FarmSpec,
-    PlantTask,
+    Pool,
     PoolStats,
     ReplicaSource,
-    ShardTask,
-    StreamFinish,
-    StreamTask,
+    Task,
     TaskResult,
     WorkerCrashError,
-    WorkerPool,
-    execute_plant_task,
-    execute_shard_task,
-    execute_stream_task,
+    execute_task,
 )
 
 __all__ = [
@@ -94,19 +89,14 @@ __all__ = [
     "ShardPlan",
     "shard_seed",
     "FarmSpec",
-    "ShardTask",
-    "StreamTask",
-    "StreamFinish",
-    "PlantTask",
+    "Task",
     "TaskResult",
     "WorkerCrashError",
-    "WorkerPool",
+    "Pool",
     "PoolStats",
     "BlockHandle",
     "ReplicaSource",
-    "execute_plant_task",
-    "execute_shard_task",
-    "execute_stream_task",
+    "execute_task",
     "OUTPUT_COLUMNS",
     "STATUS_CODES",
     "ServingDaemon",
@@ -119,7 +109,6 @@ __all__ = [
     "ProtocolError",
     "StreamClient",
     "HostAgent",
-    "HostPool",
     "AgentProcess",
     "spawn_agent",
     "BurstModel",
@@ -135,7 +124,7 @@ __all__ = [
 # (``python -m repro.serve.remote``); importing it eagerly here would
 # make runpy warn about the module being in sys.modules before it runs
 # as __main__.  Resolve its exports lazily instead (PEP 562).
-_REMOTE_EXPORTS = ("HostAgent", "HostPool", "AgentProcess", "spawn_agent")
+_REMOTE_EXPORTS = ("HostAgent", "AgentProcess", "spawn_agent")
 
 
 def __getattr__(name):

@@ -8,13 +8,13 @@ Architecture (one process, three concurrency domains):
   deterministic parts are unit-testable without sockets), and awaits
   batch completions.
 * **one pool-driver thread** (:class:`_PoolDriver`) — the *only* owner
-  of the started :class:`~repro.serve.workers.WorkerPool`: it
-  serialises submissions, pumps supervision (crash detection, respawn,
-  requeue), and resolves futures the event loop awaits.  Single
-  ownership means no pool state is ever touched from two threads.
+  of the started :class:`~repro.serve.workers.Pool`: it serialises
+  submissions, pumps supervision (crash detection, respawn, requeue),
+  and resolves futures the event loop awaits.  Single ownership means
+  no pool state is ever touched from two threads.
 * **persistent worker processes** — spawned once, each holding a warm
   :class:`~repro.serve.workers.ReplicaSource` and the live per-stream
-  runtime replicas (stream → worker affinity lives in the pool).
+  runtime replicas (a stream's home worker is the pool's routing).
 
 Determinism contract — the daemon extension of docs/serving.md:
 
@@ -27,12 +27,16 @@ Determinism contract — the daemon extension of docs/serving.md:
   batches in order — exactly the sequential reference
   (:func:`serve_streams_reference`) — so concurrent streams are
   bit-identical to serving each stream alone.
-* Crash recovery replays: when a stream's home worker dies, the next
-  batch ships the stream's full accepted history
-  (``StreamTask.replay_batches``); the fresh replica re-runs history
-  batch-by-batch and lands in the lost state bit-exactly.  The daemon
-  retains accepted frames per stream for this (the documented memory
-  cost of a crash-survivable stream).
+* Crash recovery replays: when a stream's home worker dies, the pool
+  fails the next batch back and the daemon resubmits it with the
+  stream's full accepted history (``Task.replay``); the fresh replica
+  re-runs history batch-by-batch and lands in the lost state
+  bit-exactly.  The daemon retains accepted frames per stream for this
+  until the stream drains (the documented memory cost of a
+  crash-survivable stream).
+* A stream that drains (ended, every batch completed) sends one
+  ``final`` task: its worker returns the obs snapshot and drops the
+  replica, and the daemon drops the stream's frames and history.
 * Shedding is *admission-time*: a refused frame never enters the
   stream, so the accepted subsequence — and therefore every record —
   is exactly what a client that never sent the shed frames would get.
@@ -44,11 +48,9 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
-import dataclasses
 import queue as queue_mod
 import socket
 import threading
-import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -79,16 +81,7 @@ from repro.serve.protocol import (
     unpack_frame,
     unpack_hello,
 )
-from repro.serve.sharding import shard_seed
-from repro.serve.workers import (
-    OUTPUT_COLUMNS,
-    FarmSpec,
-    StreamFinish,
-    StreamTask,
-    TaskResult,
-    WorkerPool,
-    output_row_writer,
-)
+from repro.serve.workers import FarmSpec, Pool, Task, TaskResult, execute_task
 from repro.soc.board import FRAME_PERIOD_S
 from repro.soc.runtime import FrameRecord
 
@@ -205,12 +198,10 @@ class StreamIngress:
 class _PoolDriver(threading.Thread):
     """Single thread owning the started pool; resolves submit futures.
 
-    The event loop never touches the pool directly (except the
-    read-only ``stream_home`` peek, whose staleness is self-correcting:
-    a wrong guess fails the block and the daemon retries with replay).
+    The event loop never touches the pool directly.
     """
 
-    def __init__(self, pool: WorkerPool):
+    def __init__(self, pool: Pool):
         super().__init__(daemon=True, name="repro-serve-pool")
         self.pool = pool
         self.error: Optional[BaseException] = None
@@ -218,13 +209,12 @@ class _PoolDriver(threading.Thread):
         self._live: List[Tuple[Any, concurrent.futures.Future]] = []
         self._stopping = threading.Event()
 
-    def submit(self, frames: np.ndarray,
-               tasks: Sequence[Any]) -> concurrent.futures.Future:
+    def submit(self, tasks: Sequence[Task]) -> concurrent.futures.Future:
         fut: concurrent.futures.Future = concurrent.futures.Future()
         if self.error is not None:
             fut.set_exception(self.error)
             return fut
-        self._inbox.put((frames, tasks, fut))
+        self._inbox.put((tasks, fut))
         return fut
 
     def stop(self) -> None:
@@ -240,9 +230,9 @@ class _PoolDriver(threading.Thread):
                 except queue_mod.Empty:
                     item = None
                 if item is not None:
-                    frames, tasks, fut = item
+                    tasks, fut = item
                     try:
-                        handle = self.pool.submit(frames, tasks)
+                        handle = self.pool.submit(tasks)
                     except BaseException as exc:
                         fut.set_exception(exc)
                     else:
@@ -267,7 +257,7 @@ class _PoolDriver(threading.Thread):
             self._live = []
             while True:
                 try:
-                    _f, _t, fut = self._inbox.get_nowait()
+                    _tasks, fut = self._inbox.get_nowait()
                 except queue_mod.Empty:
                     break
                 if not fut.done():
@@ -294,9 +284,9 @@ class DaemonReport:
 
 
 class _Stream:
-    __slots__ = ("sid", "ingress", "writer", "seqs", "history",
-                 "inflight", "last_health", "obs_snapshot", "drained",
-                 "failed")
+    __slots__ = ("sid", "ingress", "writer", "seqs", "history", "batches",
+                 "inflight", "finished", "last_health", "obs_snapshot",
+                 "drained", "failed")
 
     def __init__(self, sid: int, ingress: StreamIngress, writer):
         self.sid = sid
@@ -304,7 +294,9 @@ class _Stream:
         self.writer = writer
         self.seqs: List[int] = []        # client seq per accepted frame
         self.history: List[Tuple[int, int]] = []   # completed batches
+        self.batches = 0                 # completed batches, kept at finish
         self.inflight = False
+        self.finished = False            # final task done, frames dropped
         self.last_health: Dict[str, Any] = {}
         self.obs_snapshot: Optional[Dict[str, Any]] = None
         self.drained = asyncio.Event()
@@ -330,8 +322,7 @@ class ServingDaemon:
                  queue_limit: int = 64,
                  arrival_mode: str = "stream",
                  host: str = "127.0.0.1", port: int = 0,
-                 max_restarts: int = 32,
-                 pool_kwargs: Optional[Dict[str, Any]] = None):
+                 max_restarts: int = 32):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if arrival_mode not in ARRIVAL_MODES:
@@ -346,13 +337,11 @@ class ServingDaemon:
         self.host = host
         self.port = port
         self.max_restarts = max_restarts
-        self.pool_kwargs = dict(pool_kwargs or {})
         self.n_monitors = _spec_n_monitors(spec)
         self._streams: Dict[int, _Stream] = {}
-        self._retired: List[_Stream] = []
         self._server: Optional[asyncio.base_events.Server] = None
         self._driver: Optional[_PoolDriver] = None
-        self._pool: Optional[WorkerPool] = None
+        self._pool: Optional[Pool] = None
         self._tasks: set = set()
         self._next_tid = 0
         self._next_auto_sid = 0
@@ -380,9 +369,8 @@ class ServingDaemon:
         return self
 
     def _start_pool(self) -> None:
-        self._pool = WorkerPool(self.spec, self.workers,
-                                max_restarts=self.max_restarts,
-                                **self.pool_kwargs)
+        self._pool = Pool(self.spec, self.workers,
+                          max_restarts=self.max_restarts)
         self._driver = _PoolDriver(self._pool)
         self._driver.start()
 
@@ -391,7 +379,9 @@ class ServingDaemon:
 
         Every frame accepted before the drain is still executed and its
         result delivered; frames arriving during the drain are shed.
-        Idempotent per epoch (a second drain reports the same totals).
+        Streams still open are ended, and each finishes as it drains
+        (final task included).  Idempotent per epoch (a second drain
+        reports the same totals).
         """
         self._draining = True
         streams = list(self._streams.values())
@@ -403,8 +393,7 @@ class ServingDaemon:
         for s in streams:
             if s.failed is not None:
                 raise s.failed
-        await self._finish_streams(streams)
-        return self._report(streams + self._retired)
+        return self._report(streams)
 
     async def reload(self, spec: Optional[FarmSpec] = None) -> DaemonReport:
         """Drain, then swap in a fresh pool (optionally a new spec).
@@ -427,7 +416,6 @@ class ServingDaemon:
             self.spec = spec
             self.n_monitors = _spec_n_monitors(spec)
         self._streams.clear()
-        self._retired = []
         self._start_pool()
         self._draining = False
         return report
@@ -582,74 +570,84 @@ class ServingDaemon:
 
     # -- batch dispatch ------------------------------------------------
     def _maybe_dispatch(self, s: _Stream) -> None:
-        if s.failed is not None:
+        """Start the stream's next step — a ready batch, or its final
+        task once drained — or mark it drained when none is left."""
+        if s.inflight:
+            return
+        if s.failed is not None or s.finished:
             s.drained.set()
             return
-        if not s.inflight:
-            nxt = s.ingress.next_ready()
-            if nxt is not None:
-                s.inflight = True
-                task = asyncio.get_running_loop().create_task(
-                    self._run_batch(s, *nxt))
-                self._tasks.add(task)
-                task.add_done_callback(self._tasks.discard)
-                return
-        if s.ingress.drained and not s.inflight:
-            s.drained.set()
+        nxt = s.ingress.next_ready()
+        if nxt is not None:
+            coro = self._run_batch(s, *nxt)
+        elif s.ingress.drained:
+            coro = self._finish(s)
+        else:
+            return
+        s.inflight = True
+        task = asyncio.get_running_loop().create_task(self._step(s, coro))
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
 
-    async def _run_batch(self, s: _Stream, a: int, b: int) -> None:
+    async def _step(self, s: _Stream, coro) -> None:
+        """Await one step of *s*; a failure fails the stream."""
         try:
-            rows, result = await self._execute_batch(s, a, b)
-            s.history.append((a, b))
-            s.last_health = result.health
-            s.ingress.mark_completed(b - a)
-            if s.writer is not None:
-                try:
-                    for i, seq in enumerate(s.seqs[a:b]):
-                        s.writer.write(pack_result(seq, rows[i]))
-                    await s.writer.drain()
-                except (ConnectionError, RuntimeError):
-                    s.writer = None
+            await coro
         except BaseException as exc:
             s.failed = exc
         finally:
             s.inflight = False
             self._maybe_dispatch(s)
 
-    async def _execute_batch(self, s: _Stream, a: int,
-                             b: int) -> Tuple[np.ndarray, TaskResult]:
-        new = np.asarray(s.ingress.frames[a:b], dtype=np.float64)
-        attempts = 0
-        while True:
-            # Peek the stream's home; a stale answer only costs one
-            # failed block (the pool fails unroutable continuations
-            # back instead of guessing, and we retry with replay).
-            need_replay = a > 0 and self._pool.stream_home(s.sid) is None
-            if need_replay:
-                frames_block = np.concatenate(
-                    [np.asarray(s.ingress.frames[:a], dtype=np.float64),
-                     new])
-                replay = tuple(s.history)
-            else:
-                frames_block = new
-                replay = ()
-            task = StreamTask(
-                task_id=self._alloc_tid(),
-                stream=s.sid,
-                seed_entropy=self.seed,
-                start=a,
-                n_frames=b - a,
-                replay_batches=replay,
-            )
-            fut = self._driver.submit(frames_block, [task])
-            handle = await asyncio.wrap_future(fut)
+    async def _run_batch(self, s: _Stream, a: int, b: int) -> None:
+        result = await self._execute_batch(s, a, b)
+        s.history.append((a, b))
+        s.batches += 1
+        s.last_health = result.health
+        s.ingress.mark_completed(b - a)
+        if s.writer is not None:
+            try:
+                for seq, row in zip(s.seqs[a:b], result.rows):
+                    s.writer.write(pack_result(seq, row))
+                await s.writer.drain()
+            except (ConnectionError, RuntimeError):
+                s.writer = None
+
+    async def _execute_batch(self, s: _Stream, a: int, b: int) -> TaskResult:
+        """Run batch ``[a, b)`` on the stream's home worker; when the pool
+        fails that continuation back (the home died with the replica),
+        resubmit it replaying the stream's history on a fresh one."""
+        for replay in ((), tuple(s.history)):
+            n_replay = sum(y - x for x, y in replay)
+            task = Task(task_id=self._alloc_tid(), session=s.sid,
+                        seed_entropy=self.seed, batches=((a, b),), start=a,
+                        replay=replay,
+                        frames=np.asarray(s.ingress.frames[a - n_replay:b],
+                                          dtype=np.float64))
+            handle = await asyncio.wrap_future(self._driver.submit([task]))
             if not handle.failed:
-                return handle.outputs, handle.results[task.task_id]
-            attempts += 1
-            if attempts > 2:
-                raise RuntimeError(
-                    f"stream {s.sid}: batch ({a}, {b}) failed "
-                    f"{attempts} times (home worker kept dying)")
+                return handle.results[task.task_id]
+        raise RuntimeError(f"stream {s.sid}: batch ({a}, {b}) failed after "
+                           f"replaying its history")
+
+    async def _finish(self, s: _Stream) -> None:
+        """The stream drained: collect its final health and obs snapshot
+        (its worker drops the replica), then drop its frames and
+        history, keeping the batch count for the report."""
+        if s.batches:
+            task = Task(task_id=self._alloc_tid(), session=s.sid,
+                        seed_entropy=self.seed, start=s.ingress.accepted,
+                        final=True)
+            handle = await asyncio.wrap_future(self._driver.submit([task]))
+            # Failed back when the home died after the last batch: keep
+            # the last batch's (cumulative) health; the obs snapshot is
+            # lost with the replica.
+            result = handle.results.get(task.task_id)
+            if result is not None:
+                s.last_health = result.health
+                s.obs_snapshot = result.obs_snapshot
+        s.ingress.frames, s.history, s.seqs = [], [], []
+        s.finished = True
 
     def _alloc_tid(self) -> int:
         tid = self._next_tid
@@ -657,34 +655,12 @@ class ServingDaemon:
         return tid
 
     # -- reporting -----------------------------------------------------
-    async def _finish_streams(self, streams: List[_Stream]) -> None:
-        """Collect final health/obs snapshots, dropping worker state."""
-        pending = []
-        for s in streams:
-            if not s.history or s.obs_snapshot is not None:
-                continue
-            task = StreamFinish(task_id=self._alloc_tid(), stream=s.sid)
-            fut = self._driver.submit(
-                np.empty((0, 1), dtype=np.float64), [task])
-            pending.append((s, task, fut))
-        for s, task, fut in pending:
-            handle = await asyncio.wrap_future(fut)
-            if handle.failed:
-                # Home died after its last batch; keep the last
-                # per-batch health (cumulative anyway), lose the obs
-                # snapshot for this stream.
-                continue
-            result = handle.results[task.task_id]
-            if result.health:
-                s.last_health = result.health
-            s.obs_snapshot = result.obs_snapshot
-
     def _report(self, streams: List[_Stream]) -> DaemonReport:
         streams = sorted(streams, key=lambda s: s.sid)
         shard_health = [s.last_health for s in streams if s.last_health]
         frames_total = sum(s.ingress.accepted for s in streams)
         frames_shed = sum(s.ingress.shed for s in streams)
-        batches = sum(len(s.history) for s in streams)
+        batches = sum(s.batches for s in streams)
         stats = self._pool.stats
         health = merge_shard_health(
             shard_health,
@@ -834,19 +810,9 @@ def serve_streams_reference(spec: FarmSpec,
         arrivals = (backlog_arrivals(n) if arrival_mode == "backlog"
                     else stream_arrivals(n, period_s))
         plan = plan_microbatches(arrivals, policy)
-        runtime = spec.build_runtime()
-        stream_seed = shard_seed(seed, sid)
-        records: List[FrameRecord] = []
-        for a, b in plan:
-            records.extend(runtime.run(frames[a:b], seed=stream_seed))
-        rows = np.full((n, len(OUTPUT_COLUMNS)), np.nan)
-        row = output_row_writer(runtime)
-        for i, r in enumerate(records):
-            rows[i, :] = row(r)
-        out[sid] = ReferenceStream(
-            records=records,
-            rows=rows,
-            batches=plan,
-            health=dataclasses.asdict(runtime.health_report()),
-        )
+        result = execute_task(spec, Task(task_id=sid, session=sid,
+                                         seed_entropy=seed,
+                                         batches=tuple(plan), frames=frames))
+        out[sid] = ReferenceStream(records=result.records, rows=result.rows,
+                                   batches=plan, health=result.health)
     return out

@@ -9,8 +9,9 @@ fed through a deadline-aware micro-batching scheduler and executed
 either
 
 * **in-process, sequentially** — the reference semantics, or
-* **on a spawn-based worker pool** with shared-memory frame/output
-  buffers, crash detection, worker restart and task requeue.
+* **on a** :class:`~repro.serve.workers.Pool` of local spawn workers
+  and/or remote host agents, with crash detection, worker restart and
+  task requeue.
 
 The determinism contract (asserted by ``tests/test_serve.py`` and the
 ``serve_throughput`` gate in ``tools/bench_report.py``): both execution
@@ -23,14 +24,15 @@ worker count, because
 2. every shard task is self-contained and pure — a fresh replica, a
    shard-local seed, the task's own frames — so execution order across
    shards (or re-execution after a crash) cannot change any output,
-3. both modes run the *same* :func:`execute_shard_task` code path on
-   replicas built from the same pickled spec.
+3. both modes run the *same* :func:`~repro.serve.workers.execute_task`
+   code path on replicas built from the same pickled spec.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,14 +47,13 @@ from repro.serve.health import FarmHealth, merge_shard_health
 from repro.serve.merge import merge_obs_snapshots
 from repro.serve.sharding import ShardPlan
 from repro.serve.workers import (
+    MAX_RESTARTS,
     OUTPUT_COLUMNS,
     FarmSpec,
-    PlantTask,
-    ShardTask,
-    TaskResult,
-    WorkerPool,
-    execute_plant_task,
-    execute_shard_task,
+    Pool,
+    PoolStats,
+    Task,
+    execute_task,
 )
 from repro.soc.board import FRAME_PERIOD_S
 from repro.soc.runtime import FrameRecord
@@ -65,15 +66,11 @@ ARRIVAL_MODES = ("stream", "backlog")
 
 @dataclass(frozen=True)
 class FarmPlan:
-    """The deterministic execution plan for one frame block.
-
-    ``tasks`` are :class:`ShardTask`\\ s for a frame block
-    (:meth:`ShardedNodeFarm.plan`) or :class:`PlantTask`\\ s for a
-    closed-loop run (:meth:`ShardedNodeFarm.plan_plant`).
-    """
+    """The deterministic execution plan for one run: one final,
+    self-contained :class:`~repro.serve.workers.Task` per shard."""
 
     shard_plan: ShardPlan
-    tasks: Tuple[Any, ...]
+    tasks: Tuple[Task, ...]
 
     @property
     def n_batches(self) -> int:
@@ -129,9 +126,9 @@ class ShardedNodeFarm:
         :class:`~repro.serve.remote.HostAgent` processes.  When given,
         every pooled :meth:`serve` dispatches shard tasks uniformly
         across the in-process workers (``workers`` of them; 0 = fully
-        remote) *and* the remote hosts through a
-        :class:`~repro.serve.remote.HostPool` — with partition-aware
-        crash recovery and the same bit-identity contract.
+        remote) *and* the remote hosts, links of one
+        :class:`~repro.serve.workers.Pool` — with partition-aware crash
+        recovery and the same bit-identity contract.
     """
 
     def __init__(self, spec: FarmSpec, *, n_shards: int = 4,
@@ -150,40 +147,35 @@ class ShardedNodeFarm:
         self.seed = seed
         self.arrival_mode = arrival_mode
         self.hosts = tuple(hosts)
-        self._pool = None            # WorkerPool or HostPool
+        self._pool: Optional[Pool] = None
 
     # ------------------------------------------------------------------
-    def _make_pool(self, workers: int, **pool_kwargs):
-        if self.hosts:
-            from repro.serve.remote import HostPool
+    def _make_pool(self, workers: int, max_restarts: Optional[int]) -> Pool:
+        return Pool(self.spec,
+                    workers if self.hosts else min(workers, self.n_shards),
+                    hosts=self.hosts,
+                    max_restarts=(MAX_RESTARTS if max_restarts is None
+                                  else max_restarts)).start()
 
-            return HostPool(self.spec, self.hosts, local_workers=workers,
-                            **pool_kwargs)
-        return WorkerPool(self.spec, min(workers, self.n_shards),
-                          **pool_kwargs)
-
-    def start_pool(self, workers: int = 4, **pool_kwargs):
-        """Spawn a persistent warm pool reused by every later serve().
+    def start_pool(self, workers: int = 4, *,
+                   max_restarts: Optional[int] = None) -> Pool:
+        """Start a persistent warm pool reused by every later serve().
 
         Spawn + replica cold-start then happen once instead of once per
         :meth:`serve` call — the steady-state serving mode.  Restart and
         requeue budgets are cumulative over the pool's lifetime; the
         per-call ``FarmHealth`` still reports per-call deltas.  Close
         with :meth:`close` (or use the farm as a context manager).
-        With ``hosts`` configured this is a
-        :class:`~repro.serve.remote.HostPool` (*workers* = local
-        slots beside the remote hosts); otherwise a plain
-        :class:`WorkerPool`.
+        With ``hosts`` configured, *workers* local links sit beside the
+        remote hosts.
         """
         if self._pool is not None:
             raise RuntimeError("farm already holds a started pool")
-        pool = self._make_pool(workers, **pool_kwargs)
-        pool.start()
-        self._pool = pool
-        return pool
+        self._pool = self._make_pool(workers, max_restarts)
+        return self._pool
 
     @property
-    def pool(self):
+    def pool(self) -> Optional[Pool]:
         """The persistent pool, when :meth:`start_pool` was called."""
         return self._pool
 
@@ -205,9 +197,23 @@ class ShardedNodeFarm:
         cfg = self.spec.config
         return cfg.period_s if cfg is not None else FRAME_PERIOD_S
 
-    def plan(self, n_frames: int,
-             chaos_crash_shards: Sequence[int] = ()) -> FarmPlan:
-        """The deterministic shard/batch plan for *n_frames* frames."""
+    @property
+    def _closed_loop(self) -> bool:
+        """True when the spec's plant synthesises its own frames."""
+        return bool(getattr(self.spec.plant, "closed_loop", False))
+
+    def plan(self, n_frames: int, chaos_crash_shards: Sequence[int] = (),
+             *, frames: Optional[np.ndarray] = None) -> FarmPlan:
+        """The deterministic shard/batch plan for *n_frames* frames.
+
+        Shard ``s`` owns global frames ``s, s + n_shards, ...``; with
+        *frames* given, its task carries that slice.  Open-loop shards
+        batch per the policy on their own arrival clock; a closed-loop
+        shard steps one frame per batch, its session ordered end to end.
+        """
+        if frames is not None and len(frames) != n_frames:
+            raise ValueError(f"plan for {n_frames} frames got "
+                             f"{len(frames)}")
         shard_plan = ShardPlan(n_frames=n_frames, n_shards=self.n_shards)
         crash_set = set(chaos_crash_shards)
         unknown = crash_set - set(range(self.n_shards))
@@ -216,87 +222,48 @@ class ShardedNodeFarm:
                              f"[0, {self.n_shards})")
         tasks = []
         for s in range(self.n_shards):
-            globals_ = shard_plan.shard_globals(s)
-            if self.arrival_mode == "backlog":
-                arrivals = backlog_arrivals(len(globals_))
+            n = shard_plan.shard_size(s)
+            if self._closed_loop:
+                batches = tuple((i, i + 1) for i in range(n))
             else:
-                arrivals = stream_arrivals(len(globals_), self.period_s)
-            batches = tuple(plan_microbatches(arrivals, self.batching))
-            tasks.append(ShardTask(
-                task_id=s,
-                shard=s,
-                seed_entropy=self.seed,
-                global_indices=globals_,
-                batches=batches,
-                crash=s in crash_set,
-            ))
+                arrivals = (backlog_arrivals(n)
+                            if self.arrival_mode == "backlog"
+                            else stream_arrivals(n, self.period_s))
+                batches = tuple(plan_microbatches(arrivals, self.batching))
+            tasks.append(Task(
+                task_id=s, session=s, seed_entropy=self.seed,
+                batches=batches, final=True, crash=s in crash_set,
+                frames=(None if frames is None else
+                        np.ascontiguousarray(frames[s::self.n_shards],
+                                             dtype=np.float64))))
         return FarmPlan(shard_plan=shard_plan, tasks=tuple(tasks))
 
     # ------------------------------------------------------------------
     def serve(self, frames: np.ndarray, *, workers: int = 4,
               chaos_crash_shards: Sequence[int] = (),
-              **pool_kwargs) -> FarmResult:
+              max_restarts: Optional[int] = None) -> FarmResult:
         """Run a frame block through the farm.
 
-        ``workers >= 1`` uses the spawn worker pool — the persistent
-        one when :meth:`start_pool` was called (warm, no spawn or
-        replica cold-start in the call), else a pool built and torn
-        down inside the call; ``workers == 0`` executes the same plan
-        sequentially in-process (the bit-identity reference).  Warm
-        and cold runs are bit-identical: the warm replica template is
-        the deterministic product of the same spec (see
+        ``workers >= 1`` uses the pool — the persistent one when
+        :meth:`start_pool` was called (warm, no spawn or replica
+        cold-start in the call), else a pool built and torn down inside
+        the call; ``workers == 0`` executes the same plan sequentially
+        in-process (the bit-identity reference), unless remote ``hosts``
+        are configured, which then serve it all.  Warm and cold runs
+        are bit-identical: the warm replica template is the
+        deterministic product of the same spec (see
         :class:`~repro.serve.workers.ReplicaSource`).
-        *chaos_crash_shards* hard-kills the
-        worker first claiming each listed shard's task (test hook;
-        requires ``workers >= 1``); the supervisor restarts and
-        requeues, and the results must still be bit-identical.
+        *chaos_crash_shards* hard-kills the worker first claiming each
+        listed shard's task (test hook; requires a pool); the
+        supervisor restarts and requeues, and the results must still
+        be bit-identical.
         """
-        plant = self.spec.plant
-        if plant is not None and getattr(plant, "closed_loop", False):
-            raise ValueError(
-                f"{type(plant).__name__} is closed-loop: it synthesises "
-                f"its own frames — use serve_plant(n_frames)")
-        frames = np.ascontiguousarray(frames, dtype=np.float64)
-        if frames.ndim != 2:
-            raise ValueError(f"frames must be 2-D, got {frames.shape}")
-        if workers < 0:
-            raise ValueError(f"workers must be >= 0, got {workers}")
-        if chaos_crash_shards and workers < 1 and not self.hosts:
-            raise ValueError("chaos_crash_shards requires workers >= 1")
-        plan = self.plan(frames.shape[0], chaos_crash_shards)
-
-        t0 = time.perf_counter()
-        if workers >= 1 or self.hosts:
-            # With remote hosts configured even workers == 0 is a pool
-            # run (entirely remote); the in-process sequential
-            # reference stays reachable via serve_reference().
-            if self._pool is not None:
-                # Warm path: reuse the persistent pool's live workers.
-                if pool_kwargs:
-                    raise ValueError(
-                        "pool kwargs are fixed at start_pool() time")
-                pool = self._pool
-            else:
-                pool = self._make_pool(workers, **pool_kwargs)
-            results, outputs, stats = pool.run(frames, list(plan.tasks))
-            restarts, requeued = stats.worker_restarts, stats.requeued_tasks
-            host_failures = stats.host_failures
-            # Cold runs tear the pool down inside run(); the stats
-            # snapshot still carries the live worker/slot count.
-            n_workers = stats.workers or pool.n_workers
-        else:
-            outputs = np.full((frames.shape[0], len(OUTPUT_COLUMNS)), np.nan)
-            results = [execute_shard_task(self.spec, t, frames, outputs)
-                       for t in plan.tasks]
-            restarts = requeued = host_failures = 0
-            n_workers = 0
-        wall = time.perf_counter() - t0
-
-        return self._assemble(plan, results, outputs, wall,
-                              workers=n_workers,
-                              worker_restarts=restarts,
-                              requeued_tasks=requeued,
-                              host_failures=host_failures)
+        frames = self._frames(frames)
+        self._check_workers(workers, chaos_crash_shards)
+        return self._run(self.plan(len(frames), chaos_crash_shards,
+                                   frames=frames),
+                         workers if workers >= 1 or self.hosts else None,
+                         max_restarts)
 
     def serve_reference(self, frames: np.ndarray) -> FarmResult:
         """The sequential in-process reference.
@@ -306,57 +273,12 @@ class ShardedNodeFarm:
         stream every other execution mode is asserted bit-identical
         against.
         """
-        plant = self.spec.plant
-        if plant is not None and getattr(plant, "closed_loop", False):
-            raise ValueError(
-                f"{type(plant).__name__} is closed-loop: it synthesises "
-                f"its own frames — use serve_plant_reference(n_frames)")
-        frames = np.ascontiguousarray(frames, dtype=np.float64)
-        if frames.ndim != 2:
-            raise ValueError(f"frames must be 2-D, got {frames.shape}")
-        plan = self.plan(frames.shape[0])
-        t0 = time.perf_counter()
-        outputs = np.full((frames.shape[0], len(OUTPUT_COLUMNS)), np.nan)
-        results = [execute_shard_task(self.spec, t, frames, outputs)
-                   for t in plan.tasks]
-        wall = time.perf_counter() - t0
-        return self._assemble(plan, results, outputs, wall, workers=0,
-                              worker_restarts=0, requeued_tasks=0,
-                              host_failures=0)
-
-    # ------------------------------------------------------------------
-    def plan_plant(self, n_frames: int,
-                   chaos_crash_shards: Sequence[int] = ()) -> FarmPlan:
-        """The deterministic closed-loop plan for *n_frames* frames.
-
-        One :class:`~repro.serve.workers.PlantTask` per shard: each
-        shard runs a complete, ordered closed-loop session over its
-        interleaved slice of the global frame order, seeded exactly
-        like the open-loop shards (``shard_seed(seed, s)``).
-        """
-        plant = self.spec.plant
-        if plant is None or not getattr(plant, "closed_loop", False):
-            raise ValueError(
-                "plan_plant needs a closed-loop plant on the farm spec "
-                "(build_farm(..., plant=...))")
-        shard_plan = ShardPlan(n_frames=n_frames, n_shards=self.n_shards)
-        crash_set = set(chaos_crash_shards)
-        unknown = crash_set - set(range(self.n_shards))
-        if unknown:
-            raise ValueError(f"chaos_crash_shards {sorted(unknown)} outside "
-                             f"[0, {self.n_shards})")
-        tasks = tuple(PlantTask(
-            task_id=s,
-            shard=s,
-            seed_entropy=self.seed,
-            global_indices=shard_plan.shard_globals(s),
-            crash=s in crash_set,
-        ) for s in range(self.n_shards))
-        return FarmPlan(shard_plan=shard_plan, tasks=tasks)
+        frames = self._frames(frames)
+        return self._run(self.plan(len(frames), frames=frames), None)
 
     def serve_plant(self, n_frames: int, *, workers: int = 4,
                     chaos_crash_shards: Sequence[int] = (),
-                    **pool_kwargs) -> FarmResult:
+                    max_restarts: Optional[int] = None) -> FarmResult:
         """Run *n_frames* of closed-loop sessions through the farm.
 
         No frames travel: each shard's worker synthesises its stream
@@ -364,89 +286,98 @@ class ShardedNodeFarm:
         before the next frame, so actuation order within a shard is
         total and the run is bit-identical to
         :meth:`serve_plant_reference` for every worker count —
-        including under *chaos_crash_shards* (plant tasks are pure, so
-        the supervisor requeues a crashed shard's whole session).
-        Single-machine only: the host transport ships frame blocks,
-        not sessions.
+        including under *chaos_crash_shards* (a shard's task is pure,
+        so the supervisor requeues a crashed shard's whole session).
+        Runs on local workers only.
         """
         if self.hosts:
-            raise ValueError(
-                "closed-loop plant serving is single-machine: the host "
-                "transport ships frame blocks, not plant sessions")
-        if n_frames < 1:
-            raise ValueError(f"n_frames must be >= 1, got {n_frames}")
-        if workers < 0:
-            raise ValueError(f"workers must be >= 0, got {workers}")
-        if chaos_crash_shards and workers < 1:
-            raise ValueError("chaos_crash_shards requires workers >= 1")
-        plan = self.plan_plant(n_frames, chaos_crash_shards)
-
-        t0 = time.perf_counter()
-        if workers >= 1:
-            if self._pool is not None:
-                if pool_kwargs:
-                    raise ValueError(
-                        "pool kwargs are fixed at start_pool() time")
-                pool = self._pool
-            else:
-                pool = self._make_pool(workers, **pool_kwargs)
-            # Placeholder frame buffer: plant workers synthesise their
-            # own frames; the output matrix still spans all rows.
-            results, outputs, stats = pool.run(np.zeros((1, 1)),
-                                               list(plan.tasks))
-            restarts, requeued = stats.worker_restarts, stats.requeued_tasks
-            host_failures = stats.host_failures
-            n_workers = stats.workers or pool.n_workers
-        else:
-            outputs = np.full((n_frames, len(OUTPUT_COLUMNS)), np.nan)
-            results = [execute_plant_task(self.spec, t, out=outputs)
-                       for t in plan.tasks]
-            restarts = requeued = host_failures = 0
-            n_workers = 0
-        wall = time.perf_counter() - t0
-
-        return self._assemble(plan, results, outputs, wall,
-                              workers=n_workers,
-                              worker_restarts=restarts,
-                              requeued_tasks=requeued,
-                              host_failures=host_failures)
+            raise ValueError("closed-loop plant serving is single-machine: "
+                             "serve_plant runs on local workers only")
+        self._check_plant(n_frames)
+        self._check_workers(workers, chaos_crash_shards)
+        return self._run(self.plan(n_frames, chaos_crash_shards),
+                         workers if workers >= 1 else None, max_restarts)
 
     def serve_plant_reference(self, n_frames: int) -> FarmResult:
         """The sequential in-process closed-loop reference."""
-        if n_frames < 1:
-            raise ValueError(f"n_frames must be >= 1, got {n_frames}")
-        plan = self.plan_plant(n_frames)
-        t0 = time.perf_counter()
-        outputs = np.full((n_frames, len(OUTPUT_COLUMNS)), np.nan)
-        results = [execute_plant_task(self.spec, t, out=outputs)
-                   for t in plan.tasks]
-        wall = time.perf_counter() - t0
-        return self._assemble(plan, results, outputs, wall, workers=0,
-                              worker_restarts=0, requeued_tasks=0,
-                              host_failures=0)
+        self._check_plant(n_frames)
+        return self._run(self.plan(n_frames), None)
 
     # ------------------------------------------------------------------
-    def _assemble(self, plan: FarmPlan, results: List[TaskResult],
-                  outputs: np.ndarray, wall_s: float, *, workers: int,
-                  worker_restarts: int, requeued_tasks: int,
-                  host_failures: int = 0) -> FarmResult:
+    def _frames(self, frames: np.ndarray) -> np.ndarray:
+        if self._closed_loop:
+            raise ValueError(
+                f"{type(self.spec.plant).__name__} is closed-loop: it "
+                f"synthesises its own frames — use serve_plant(n_frames)")
+        frames = np.ascontiguousarray(frames, dtype=np.float64)
+        if frames.ndim != 2:
+            raise ValueError(f"frames must be 2-D, got {frames.shape}")
+        return frames
+
+    def _check_plant(self, n_frames: int) -> None:
+        if not self._closed_loop:
+            raise ValueError("serve_plant needs a closed-loop plant on the "
+                             "farm spec (build_farm(..., plant=...))")
+        if n_frames < 1:
+            raise ValueError(f"n_frames must be >= 1, got {n_frames}")
+
+    def _check_workers(self, workers: int, chaos_crash_shards) -> None:
+        if workers < 0:
+            raise ValueError(f"workers must be >= 0, got {workers}")
+        if chaos_crash_shards and workers < 1 and not self.hosts:
+            raise ValueError("chaos_crash_shards requires workers >= 1")
+
+    def _run(self, plan: FarmPlan, workers: Optional[int],
+             max_restarts: Optional[int] = None) -> FarmResult:
+        """Run *plan* inline (``workers`` None) or on the pool, then
+        gather its rows and records into global frame order."""
+        t0 = time.perf_counter()
+        stats = PoolStats()
+        if workers is None:
+            results = [execute_task(self.spec, t) for t in plan.tasks]
+        else:
+            pool = self._pool
+            if pool is None:
+                pool = self._make_pool(workers, max_restarts)
+            elif max_restarts is not None:
+                raise ValueError("max_restarts is fixed at start_pool() time")
+            before = dataclasses.replace(pool.stats)
+            try:
+                handle = pool.wait(pool.submit(plan.tasks))
+                after = pool.stats
+                stats = PoolStats(
+                    workers=pool.n_workers,
+                    worker_restarts=(after.worker_restarts
+                                     - before.worker_restarts),
+                    requeued_tasks=(after.requeued_tasks
+                                    - before.requeued_tasks),
+                    host_failures=after.host_failures - before.host_failures)
+            finally:
+                if pool is not self._pool:
+                    pool.close()
+            results = [handle.results[t.task_id] for t in plan.tasks]
+        wall_s = time.perf_counter() - t0
+
+        shards = plan.shard_plan
+        outputs = np.empty((shards.n_frames, len(OUTPUT_COLUMNS)))
+        for s, r in enumerate(results):
+            outputs[s::self.n_shards] = r.rows
         by_shard = [r.records for r in results]
-        records = plan.shard_plan.gather(by_shard)
         health = merge_shard_health(
             [r.health for r in results],
             n_shards=self.n_shards,
-            workers=workers,
+            workers=stats.workers,
             batches=plan.n_batches,
-            worker_restarts=worker_restarts,
-            requeued_tasks=requeued_tasks,
-            host_failures=host_failures,
+            worker_restarts=stats.worker_restarts,
+            requeued_tasks=stats.requeued_tasks,
+            host_failures=stats.host_failures,
         )
         obs = None
-        snaps = [r.obs_snapshot for r in results]
-        if any(s is not None for s in snaps):
+        snaps = [r.obs_snapshot for r in results if r.obs_snapshot is not None]
+        if snaps:
             obs = merge_obs_snapshots(
-                [s for s in snaps if s is not None],
-                extra_meta={"n_shards": self.n_shards, "workers": workers})
-        return FarmResult(records=records, by_shard=by_shard,
-                          outputs=outputs, health=health, plan=plan,
-                          obs=obs, wall_s=wall_s, workers=workers)
+                snaps, extra_meta={"n_shards": self.n_shards,
+                                   "workers": stats.workers})
+        return FarmResult(records=shards.gather(by_shard), by_shard=by_shard,
+                          outputs=outputs, health=health, plan=plan, obs=obs,
+                          wall_s=wall_s, workers=stats.workers)

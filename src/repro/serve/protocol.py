@@ -29,10 +29,12 @@ HOST_HELLO    c → s      u32 protocol version
 HOST_WELCOME  s → c      u32 protocol version, u32 agent worker slots
 HOST_SPEC     c → s      pickled :class:`~repro.serve.workers.FarmSpec`
 HOST_SPEC_OK  s → c      empty (replica source armed; tasks may follow)
-HOST_TASK     c → s      pickle of ``(kind, task, frames)`` — a
-                         self-contained shard/stream task plus its own
-                         frame block
-HOST_RESULT   s → c      pickle of ``(task_id, TaskResult, out_rows)``
+HOST_TASK     c → s      pickled :class:`~repro.serve.workers.Task`
+                         (its frames travel inside it)
+HOST_RESULT   s → c      pickle of ``(task_id, TaskResult)``, the result
+                         carrying the output rows; ``None`` in place of
+                         the result fails the task back (the agent lost
+                         the session's state)
 ============  =========  =================================================
 
 Both sides of either protocol **version-check the handshake**: a HELLO
@@ -45,10 +47,9 @@ The framing layer is **sans-io**: :class:`MessageDecoder` consumes raw
 bytes and yields ``(kind, payload)`` pairs, so the same code path runs
 under asyncio in the daemon, over a blocking socket in
 :class:`StreamClient`, byte-at-a-time in unit tests, and under the
-host agent's ``selectors`` loop.  All numeric payloads are
-little-endian float64 — the dtype frames already have in the farm's
-shared-memory blocks, so a result row is bit-identical to the row the
-worker wrote.
+host agent's event loop.  All numeric payloads are little-endian
+float64 — the dtype of a worker's output rows — so a result row is
+bit-identical to the row the worker wrote.
 """
 
 from __future__ import annotations
@@ -102,15 +103,16 @@ _U64 = struct.Struct("!Q")
 #: against allocating unbounded buffers for a corrupt length field).
 MAX_PAYLOAD = 1 << 24
 
-#: The host transport ships whole frame blocks and pickled result
-#: streams in one message, so its decoder accepts larger payloads.
+#: The host transport ships a task's frames and its pickled records in
+#: one message, so its decoder accepts larger payloads.
 HOST_MAX_PAYLOAD = 1 << 28
 
 #: Version this build speaks for ``repro-serve/1`` (HELLO handshake).
 SERVE_PROTO_VERSION = 1
 
-#: Version this build speaks for ``repro-hosts/1`` (HOST_HELLO).
-HOSTS_PROTO_VERSION = 1
+#: Version this build speaks for ``repro-hosts/1`` (HOST_HELLO).  2:
+#: HOST_TASK carries one pickled Task, HOST_RESULT ``(task_id, result)``.
+HOSTS_PROTO_VERSION = 2
 
 #: HELLO stream id meaning "server assigns".
 ASSIGN_STREAM = 0xFFFFFFFF

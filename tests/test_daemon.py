@@ -337,9 +337,9 @@ class TestDaemonEndToEnd:
                 time.sleep(0.002)
             assert len(c.results) >= 6
             pool = handle.daemon._pool
-            wid = pool.stream_home(0)
-            assert wid is not None
-            os.kill(pool.worker_pid(wid), signal.SIGKILL)
+            home = pool.home(0)
+            assert home is not None
+            os.kill(home.pid, signal.SIGKILL)
             deadline = time.monotonic() + 60
             while (pool.stats.worker_restarts < 1
                    and time.monotonic() < deadline):
@@ -354,6 +354,41 @@ class TestDaemonEndToEnd:
             c.close()
         assert report.worker_restarts >= 1
         assert report.frames_total == 16
+
+    def test_stream_finishes_when_it_drains(self, tiny_hls):
+        # A stream that ends (EOS) and completes its last batch sends its
+        # final task at once: by the time the client sees EOS, the
+        # daemon holds none of its frames or history, has its obs
+        # snapshot, and its worker has dropped the replica — no drain()
+        # needed.  The epoch's totals are unchanged by the early finish.
+        frames = {s: frames_for(6 + s, seed=200 + s) for s in range(3)}
+        ref = serve_streams_reference(
+            FarmSpec(model=tiny_hls,
+                     config=RuntimeConfig(batch_inference=True),
+                     plant=BeamLossPlant(min_votes=1)),
+            frames, batching=BatchingPolicy(max_batch=4), seed=5)
+        with launch(tiny_hls, obs=ObsConfig(flight_frames=4)) as handle:
+            for s, block in frames.items():
+                c = handle.client(stream_id=s)
+                for f in block:
+                    c.send(f)
+                c.finish(timeout_s=120)
+                got = np.asarray([c.results[i] for i in range(len(block))])
+                assert np.array_equal(got, ref[s].rows)
+                c.close()
+                stream = handle.daemon._streams[s]
+                assert stream.finished
+                assert not stream.ingress.frames
+                assert not stream.history and not stream.seqs
+                assert stream.batches == len(ref[s].batches)
+                assert stream.obs_snapshot is not None
+                assert handle.daemon._pool.home(s) is None
+            report = handle.drain()
+        assert report.frames_total == sum(len(f) for f in frames.values())
+        assert report.batches == sum(len(r.batches) for r in ref.values())
+        assert report.obs["metrics"]["counters"]["frames.total"] == \
+            report.frames_total
+        assert report.health.frames_total == report.frames_total
 
     def test_stream_id_collision_and_missing_hello_rejected(
             self, tiny_hls):

@@ -17,6 +17,7 @@ The cross-host guarantees pinned here:
 """
 
 import os
+import pickle
 import socket
 import time
 
@@ -29,25 +30,22 @@ from repro.hls import HLSConfig, convert
 from repro.nn import Conv1D, Dense, Flatten, Input, Model, ReLU, Sigmoid
 from repro.serve import BatchingPolicy, FarmSpec, ShardedNodeFarm
 from repro.serve.protocol import (
+    HOST_MAX_PAYLOAD,
     HOSTS_PROTO_VERSION,
     MessageDecoder,
     MsgKind,
+    pack,
     pack_host_hello,
     unpack_host_welcome,
 )
-from repro.serve.remote import HostPool, parse_host, spawn_agent
+from repro.serve.remote import parse_host, spawn_agent
 from repro.serve.replay import (
     BurstModel,
     accepted_frames,
     simulate_admission,
     synth_schedule,
 )
-from repro.serve.sharding import ShardPlan
-from repro.serve.workers import (
-    ShardTask,
-    WorkerCrashError,
-    localize_shard_task,
-)
+from repro.serve.workers import Pool, Task, WorkerCrashError
 
 N_MONITORS = 16
 
@@ -95,6 +93,17 @@ def _alive(pid):
         return False
 
 
+def _shard_rows(handle):
+    """Each shard's output rows, as bytes, in shard order."""
+    return [handle.results[t.task_id].rows.tobytes() for t in handle.tasks]
+
+
+def _shard_rows_of(result, n_shards):
+    """The same for a farm result (shard s owns rows s, s + n, ...)."""
+    return [np.ascontiguousarray(result.outputs[s::n_shards]).tobytes()
+            for s in range(n_shards)]
+
+
 def farm_for(hls, *, level=0, n_shards=3, hosts=(), seed=3):
     return build_farm(
         hls,
@@ -118,31 +127,27 @@ class TestHelpers:
         with pytest.raises(ValueError, match="host:port"):
             parse_host("no-port-here")
 
-    def test_localize_shard_task_rewrites_indices_only(self):
+    def test_plan_ships_each_shard_its_own_frames(self, tiny_hls):
         frames = frames_for(12)
-        plan = ShardPlan(n_frames=12, n_shards=3)
-        gidx = plan.shard_globals(1)               # (1, 4, 7, 10)
-        task = ShardTask(task_id=7, shard=1, seed_entropy=3,
-                         global_indices=gidx,
-                         batches=((0, 2), (2, 4)))
-        local, sliced = localize_shard_task(task, frames)
-        assert local.global_indices == (0, 1, 2, 3)
-        assert local.shard == task.shard           # seed unchanged
-        assert local.seed_entropy == task.seed_entropy
-        assert local.batches == task.batches       # already local
-        assert np.array_equal(sliced, frames[list(gidx)])
+        farm = farm_for(tiny_hls)
+        task = farm.plan(12, frames=frames).tasks[1]   # globals 1, 4, 7, 10
+        assert task.session == 1 and task.start == 0   # seed unchanged
+        assert task.seed_entropy == farm.seed
+        assert task.batches == ((0, 2), (2, 4))        # shard-local
+        assert np.array_equal(task.frames, frames[[1, 4, 7, 10]])
         # bit-identity of the slice matters, not just value equality
-        assert sliced.dtype == np.float64 and sliced.flags["C_CONTIGUOUS"]
+        assert (task.frames.dtype == np.float64
+                and task.frames.flags["C_CONTIGUOUS"])
 
     def test_host_pool_validates_inputs(self, tiny_hls):
         spec = FarmSpec(model=tiny_hls, config=RuntimeConfig())
-        with pytest.raises(ValueError, match="at least one host"):
-            HostPool(spec, ())
-        with pytest.raises(ValueError, match="local_workers"):
-            HostPool(spec, ["127.0.0.1:1"], local_workers=-1)
-        pool = HostPool(spec, ["127.0.0.1:1"])
+        with pytest.raises(ValueError, match="at least one worker or host"):
+            Pool(spec, 0, hosts=())
+        with pytest.raises(ValueError, match="workers"):
+            Pool(spec, -1, hosts=["127.0.0.1:1"])
+        pool = Pool(spec, hosts=["127.0.0.1:1"])
         with pytest.raises(RuntimeError, match="not started"):
-            pool.submit(frames_for(3), [object()])
+            pool.submit([Task(task_id=0, session=0, seed_entropy=0)])
 
 
 # ----------------------------------------------------------------------
@@ -182,22 +187,20 @@ class TestCrossHost:
                 farm.spec, n_shards=4, batching=farm.batching,
                 seed=farm.seed, hosts=[a1.address, a2.address])
             pool = hosted.start_pool(workers=0)
+            tasks = hosted.plan(len(frames), frames=frames).tasks
             try:
-                handle = pool.submit(
-                    np.ascontiguousarray(frames, dtype=np.float64),
-                    list(hosted.plan(len(frames)).tasks))
+                handle = pool.submit(tasks)
                 a2.kill()                        # hard partition
                 pool.wait(handle, timeout_s=300)
-                assert np.array_equal(handle.outputs, ref.outputs)
+                assert _shard_rows(handle) == _shard_rows_of(ref, 4)
                 assert pool.stats.host_failures == 1
                 assert pool.stats.requeued_tasks >= 1
-                assert handle.stats.host_failures == 1
+                assert pool.n_workers == 1       # a1's single slot
                 # the pool keeps serving on the surviving host
-                handle2 = pool.submit(
-                    np.ascontiguousarray(frames, dtype=np.float64),
-                    list(hosted.plan(len(frames)).tasks))
-                pool.wait(handle2, timeout_s=300)
-                assert np.array_equal(handle2.outputs, ref.outputs)
+                res = hosted.serve(frames)
+                assert np.array_equal(res.outputs, ref.outputs)
+                assert res.records == ref.records
+                assert res.health.host_failures == 0
             finally:
                 pool.close()
 
@@ -241,12 +244,7 @@ class TestCrossHost:
                 seed=farm.seed, hosts=[a1.address])
             pool = hosted.start_pool(workers=0, max_restarts=0)
             try:
-                # a started pool still refuses non-shard work
-                with pytest.raises(TypeError, match="ShardTask"):
-                    pool.submit(frames_for(2), [object()])
-                pool.submit(
-                    np.ascontiguousarray(frames, dtype=np.float64),
-                    list(hosted.plan(len(frames)).tasks))
+                pool.submit(hosted.plan(len(frames), frames=frames).tasks)
                 a1.kill()
                 with pytest.raises(WorkerCrashError):
                     deadline = time.monotonic() + 120
@@ -255,7 +253,7 @@ class TestCrossHost:
             finally:
                 pool.close()
 
-    def test_hosts_version_mismatch_refused_cleanly(self):
+    def test_hosts_version_mismatch_refused_cleanly(self, tiny_hls):
         with spawn_agent(workers=1) as agent:
             raw = socket.create_connection(agent.address, timeout=30)
             try:
@@ -289,6 +287,23 @@ class TestCrossHost:
                 assert msg is not None and msg[0] == MsgKind.HOST_WELCOME
                 version, slots = unpack_host_welcome(msg[1])
                 assert version == HOSTS_PROTO_VERSION and slots == 1
+                # ... and refuses a HOST_TASK that is not a pickled Task
+                raw2.sendall(pack(MsgKind.HOST_SPEC,
+                                  pickle.dumps(FarmSpec(model=tiny_hls)),
+                                  max_payload=HOST_MAX_PAYLOAD))
+                raw2.sendall(pack(MsgKind.HOST_TASK, pickle.dumps(object())))
+                msgs = []
+                deadline = time.monotonic() + 60
+                while (not any(k == MsgKind.ERROR for k, _ in msgs)
+                       and time.monotonic() < deadline):
+                    data = raw2.recv(1 << 16)
+                    if not data:
+                        break
+                    dec.feed(data)
+                    msgs.extend(dec)
+                assert [k for k, _ in msgs] == [MsgKind.HOST_SPEC_OK,
+                                                MsgKind.ERROR]
+                assert b"pickled Task" in msgs[1][1]
             finally:
                 raw2.close()
 

@@ -13,9 +13,14 @@ The load-bearing guarantees pinned here:
   document whose counters/histograms equal a single registry that saw
   every sample,
 * the ``repro.core.api`` facade (``build_farm``/``serve_frames``)
-  validates its inputs and round-trips through the farm.
+  validates its inputs and round-trips through the farm,
+* the one task's resume contract: replaying any prefix of a session's
+  batch plan on a fresh replica and running the rest reproduces the
+  uninterrupted session bit for bit, and a continuation that reaches a
+  link without its session state is failed back, never run.
 """
 
+import dataclasses
 import os
 import signal
 import time
@@ -25,7 +30,7 @@ import pytest
 
 import repro
 from repro.core.api import RuntimeConfig, build_farm, serve_frames
-from repro.plants import BeamLossPlant
+from repro.plants import BeamLossPlant, CartpolePlant
 from repro.hls import HLSConfig, convert
 from repro.nn import Conv1D, Dense, Flatten, Input, Model, ReLU, Sigmoid
 from repro.obs import MetricsRegistry, ObsConfig, Observability
@@ -33,9 +38,11 @@ from repro.serve import (
     BatchingPolicy,
     FarmSpec,
     ShardedNodeFarm,
+    Pool,
     ShardPlan,
+    Task,
     WorkerCrashError,
-    WorkerPool,
+    execute_task,
     merge_obs_snapshots,
     plan_microbatches,
     shard_seed,
@@ -245,10 +252,15 @@ class TestCrashRecovery:
 
     def test_pool_validation(self, tiny_hls):
         spec = FarmSpec(model=tiny_hls)
+        with pytest.raises(ValueError, match="at least one worker or host"):
+            Pool(spec, 0)
+        with pytest.raises(ValueError, match="workers"):
+            Pool(spec, -1, hosts=["127.0.0.1:1"])
         with pytest.raises(ValueError):
-            WorkerPool(spec, 0)
-        with pytest.raises(ValueError):
-            WorkerPool(spec, 1, max_restarts=-1)
+            Pool(spec, 1, max_restarts=-1)
+        with pytest.raises(RuntimeError, match="not started"):
+            Pool(spec, 1).submit([Task(task_id=0, session=0,
+                                       seed_entropy=0)])
 
 
 # ----------------------------------------------------------------------
@@ -563,9 +575,9 @@ class TestWarmPool:
             assert np.array_equal(r2.outputs, ref.outputs)
             assert pool.stats.worker_restarts == 0
             assert pool.alive_workers() == 4
-            # The result pipes back the host agent's event loop: one
+            # The link handles back the host agent's event loop: one
             # selectable Connection per live worker.
-            conns = pool.result_connections()
+            conns = pool.handles()
             assert len(conns) == 4
             assert all(isinstance(c.fileno(), int) for c in conns)
             with pytest.raises(ValueError, match="fixed at start_pool"):
@@ -585,8 +597,7 @@ class TestWarmPool:
             pool = farm.start_pool(4)
             farm.serve(frames)                       # pool is idle now
             t_kill = time.monotonic()
-            wid = pool.worker_ids()[0]
-            os.kill(pool.worker_pid(wid), signal.SIGKILL)
+            os.kill(pool.links[0].pid, signal.SIGKILL)
             deadline = time.monotonic() + 60
             while (pool.stats.worker_restarts < 1
                    and time.monotonic() < deadline):
@@ -604,17 +615,21 @@ class TestWarmPool:
             assert r.health.worker_restarts == 0     # per-call delta
         assert pool.stats.worker_restarts == 1       # cumulative
 
-    def test_drain_sleeps_instead_of_busy_spinning_without_pipes(
-            self, tiny_hls):
+    def test_idle_pump_sleeps_instead_of_busy_spinning(self, tiny_hls):
         # Regression: with every result pipe down (workers mid-respawn
         # after a mass crash) the supervisor used to spin a zero-timeout
-        # poll loop at 100% CPU.  A pipeless _drain must sleep.
-        pool = WorkerPool(FarmSpec(model=tiny_hls), 2)
-        t0_wall, t0_cpu = time.perf_counter(), time.process_time()
-        for _ in range(5):
-            assert pool._drain(0.03) is False
-        wall = time.perf_counter() - t0_wall
-        cpu = time.process_time() - t0_cpu
+        # poll loop at 100% CPU.  Lost links are now replaced inside the
+        # pump that sees them, so a started pool always has a handle to
+        # wait on; a pump with nothing ready must sleep.
+        pool = Pool(FarmSpec(model=tiny_hls), 1).start()
+        try:
+            t0_wall, t0_cpu = time.perf_counter(), time.process_time()
+            for _ in range(5):
+                assert pool.pump(0.03) is False
+            wall = time.perf_counter() - t0_wall
+            cpu = time.process_time() - t0_cpu
+        finally:
+            pool.close()
         assert wall >= 0.12          # it actually waited
         assert cpu < wall / 2        # ... by sleeping, not spinning
 
@@ -632,18 +647,15 @@ class TestWarmPool:
         gone.start()
         gone.join()
         spec = FarmSpec(model=tiny_hls)
-        workers, inboxes, pipes = [], [], []
+        workers, pipes = [], []
         for supervisor in (gone.pid, os.getpid()):
-            inbox = ctx.Queue()
-            recv, send = ctx.Pipe(duplex=False)
+            parent, child = ctx.Pipe()
             proc = ctx.Process(target=_worker_main,
-                               args=(0, spec, inbox, send, supervisor),
-                               daemon=True)
+                               args=(spec, child, supervisor), daemon=True)
             proc.start()
-            send.close()
+            child.close()
             workers.append(proc)
-            inboxes.append(inbox)
-            pipes.append(recv)
+            pipes.append(parent)
         orphan, kept = workers
         try:
             t0 = time.monotonic()
@@ -651,7 +663,7 @@ class TestWarmPool:
             assert orphan.exitcode == 0
             assert time.monotonic() - t0 < 10.0
             assert kept.is_alive()
-            inboxes[1].put(None)
+            pipes[1].send(None)
             kept.join(timeout=20.0)
             assert kept.exitcode == 0
         finally:
@@ -659,8 +671,128 @@ class TestWarmPool:
                 if proc.is_alive():
                     proc.kill()
                     proc.join()
-            for inbox in inboxes:
-                inbox.close()
-                inbox.join_thread()
-            for recv in pipes:
-                recv.close()
+            for parent in pipes:
+                parent.close()
+
+
+# ----------------------------------------------------------------------
+# The one task: resume contract + routing
+# ----------------------------------------------------------------------
+def _session_case(name, tiny_hls):
+    """``(spec, session, seed, frames, batches)`` for one session kind."""
+    if name == "open-loop-shard":
+        spec = FarmSpec(model=tiny_hls,
+                        config=RuntimeConfig(batch_inference=True),
+                        plant=BeamLossPlant(min_votes=1),
+                        injector=FaultInjector(TestFarmChaos.SPECS, seed=99))
+        batches = plan_microbatches(backlog_arrivals(40),
+                                    BatchingPolicy(max_batch=8))
+        return spec, 2, 3, frames_for(40), batches
+    if name == "closed-loop-cartpole":
+        plant = CartpolePlant()
+        spec = FarmSpec(model=convert(plant.default_model(), HLSConfig()),
+                        config=RuntimeConfig(batch_inference=True,
+                                             compile_level=2),
+                        plant=plant)
+        return spec, 1, 5, None, [(i, i + 1) for i in range(8)]
+    spec = FarmSpec(model=tiny_hls,
+                    config=RuntimeConfig(batch_inference=True),
+                    plant=BeamLossPlant(min_votes=1))
+    batches = plan_microbatches(stream_arrivals(11, FRAME_PERIOD_S),
+                                BatchingPolicy(max_batch=4))
+    return spec, 7, 5, frames_for(11, seed=42), batches
+
+
+def _run_resumed(spec, session, seed, frames, batches, k):
+    """Replay ``batches[:k]`` on a fresh replica with ``batches[k]``, then
+    continue batch by batch on the live replica, as the daemon does."""
+    live = {}
+    results = []
+    for j in range(k, len(batches)):
+        start = batches[j][0]
+        replay = tuple(batches[:k]) if j == k else ()
+        results.append(execute_task(spec, Task(
+            task_id=j, session=session, seed_entropy=seed,
+            batches=(batches[j],), start=start, replay=replay,
+            frames=None if frames is None else frames[
+                start - sum(b - a for a, b in replay):batches[j][1]]),
+            live=live))
+    return results
+
+
+class TestTaskResume:
+    CASES = ["open-loop-shard", "closed-loop-cartpole", "daemon-stream"]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_replay_any_prefix_then_run_rest_is_bit_identical(
+            self, tiny_hls, case):
+        spec, session, seed, frames, batches = _session_case(case, tiny_hls)
+        whole = execute_task(spec, Task(
+            task_id=0, session=session, seed_entropy=seed,
+            batches=tuple(batches), frames=frames))
+        assert len(whole.records) == batches[-1][1]
+        for k in range(len(batches)):
+            results = _run_resumed(spec, session, seed, frames, batches, k)
+            start = batches[k][0]
+            records = [r for res in results for r in res.records]
+            rows = np.concatenate([res.rows for res in results])
+            assert records == whole.records[start:], f"split at batch {k}"
+            assert rows.tobytes() == whole.rows[start:].tobytes()
+            assert results[-1].health == whole.health
+
+    def test_continuation_without_state_is_failed_back_never_run(
+            self, tiny_hls):
+        spec, session, seed, frames, batches = _session_case(
+            "daemon-stream", tiny_hls)
+        (a0, b0), (a1, b1) = batches[:2]
+        first = Task(task_id=0, session=session, seed_entropy=seed,
+                     batches=((a0, b0),), frames=frames[a0:b0])
+        cont = Task(task_id=1, session=session, seed_entropy=seed,
+                    batches=((a1, b1),), start=a1, frames=frames[a1:b1])
+        assert not cont.self_contained
+        with pytest.raises(LookupError, match="without its state"):
+            execute_task(spec, cont)
+        whole = execute_task(spec, Task(
+            task_id=9, session=session, seed_entropy=seed,
+            batches=tuple(batches[:2]), frames=frames[:b1]))
+        pool = Pool(spec, 2).start()
+        try:
+            # No link holds the session: the pool fails the continuation
+            # back at dispatch (a worker running it would raise).
+            orphan = pool.wait(pool.submit([cont]), timeout_s=120)
+            assert orphan.failed == [cont] and not orphan.results
+            assert pool.home(session) is None
+            # The first batch homes the session on one link; the
+            # continuation follows it there, and the final task then
+            # returns the replica's health and releases the home.
+            records = []
+            for t in (first, dataclasses.replace(cont, task_id=2)):
+                handle = pool.wait(pool.submit([t]), timeout_s=120)
+                records += handle.results[t.task_id].records
+            assert records == whole.records
+            assert pool.home(session) is not None
+            final = Task(task_id=3, session=session, seed_entropy=seed,
+                         start=b1, final=True)
+            done = pool.wait(pool.submit([final]), timeout_s=120)
+            assert done.results[3].health == whole.health
+            assert pool.home(session) is None
+            assert pool.stats.worker_restarts == 0
+        finally:
+            pool.close()
+
+
+def test_removed_serving_names_fail_loudly():
+    import repro.serve as serve
+    import repro.serve.remote as remote
+    import repro.serve.workers as workers
+
+    gone = ("ShardTask", "PlantTask", "StreamTask", "StreamFinish",
+            "execute_shard_task", "execute_plant_task",
+            "execute_stream_task", "finish_stream", "localize_shard_task",
+            "WorkerPool", "HostPool")
+    for name in gone:
+        for module in (serve, workers, remote):
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+        with pytest.raises(ImportError):
+            exec(f"from repro.serve import {name}", {})
+    assert not hasattr(Pool, "run")

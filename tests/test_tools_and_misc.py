@@ -2,6 +2,8 @@
 calibration tool, pretrained-bundle error handling, and full-model
 codegen."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,53 @@ class TestPretrainedErrors:
 
         monkeypatch.setattr(bundle_mod, "DATA_DIR", tmp_path)
         assert not bundle_mod.bundle_available()
+
+    def test_train_if_missing_writes_only_the_missing_files(
+            self, monkeypatch, tmp_path):
+        # Only unet_bn.npz is missing from the shipped data: training it
+        # must leave the shipped weights and metadata entries alone (the
+        # golden records and pinned integer bits depend on them).
+        import shutil
+
+        import repro.pretrained.bundle as bundle_mod
+        from repro.nn.training import History
+        from repro.nn.zoo import build_unet
+        from repro.nn.zoo.unet import UNetConfig
+
+        data = tmp_path / "data"
+        shutil.copytree(bundle_mod.DATA_DIR, data)
+        assert not (data / "unet_bn.npz").exists()
+        shipped = {p.name: p.read_bytes() for p in data.iterdir()}
+        meta = json.loads(shipped["metadata.json"])
+        monkeypatch.setattr(bundle_mod, "DATA_DIR", data)
+        calls = []
+
+        def fake_unet(dataset, batchnorm_standardizer=False, **kwargs):
+            calls.append(("unet", batchnorm_standardizer))
+            model = build_unet(UNetConfig(
+                batchnorm_standardizer=batchnorm_standardizer), seed=1)
+            return model, History(loss=[0.5], val_loss=[0.6])
+
+        def fake_mlp(dataset, **kwargs):  # pragma: no cover - must not run
+            calls.append(("mlp", False))
+            raise AssertionError("the shipped MLP was retrained")
+
+        monkeypatch.setattr(bundle_mod, "train_reference_unet", fake_unet)
+        monkeypatch.setattr(bundle_mod, "train_reference_mlp", fake_mlp)
+        b = bundle_mod.load_reference_bundle(include_bn=True,
+                                             train_if_missing=True)
+        assert calls == [("unet", True)]
+        for name in ("unet.npz", "mlp.npz"):
+            assert (data / name).read_bytes() == shipped[name], name
+        assert (data / "unet_bn.npz").exists()
+        assert b.unet_bn is not None
+        new_meta = json.loads((data / "metadata.json").read_text())
+        assert {k: new_meta[k] for k in meta} == meta     # entries kept
+        assert new_meta["unet_bn"]["final_loss"] == 0.5
+        # a second load trains nothing
+        bundle_mod.load_reference_bundle(include_bn=True,
+                                         train_if_missing=True)
+        assert calls == [("unet", True)]
 
 
 class TestFullModelCodegen:

@@ -35,19 +35,21 @@ results to ``BENCH_inference.json``:
   in-process and on a 4-worker spawn pool.  Pool wall time includes
   replica build and worker spawn, so it is a cold-start figure; the
   ``serve_pool`` speedup is reported but not baseline-gated,
-* ``serve_warm4`` / ``daemon_steady`` — the same block on the farm's
-  persistent warm pool (``start_pool``) and through the serving daemon
-  over real TCP at ``DAEMON_STREAMS`` concurrent streams.  Both are
-  bit-identity gated; the run additionally fails when the daemon's
-  steady-state fps drops below the cold-start pool
-  (``DAEMON_STEADY_FLOOR``) or its p99 simulated node latency breaks
-  the ``DAEMON_SLO_P99_MS`` machine-protection SLO,
-* ``serve_remote2`` — the same block served across two localhost host
-  agents (``repro-hosts/1``, 2 workers each, zero local) from a warm
-  :class:`~repro.serve.remote.HostPool`.  Bit-identity gated against
-  the sequential farm reference shard by shard; the run fails when the
-  steady-state remote fps drops below ``REMOTE_STEADY_FLOOR`` of the
-  in-process warm pool at equal total workers,
+* ``daemon_steady`` — the same block through the serving daemon over
+  real TCP at ``DAEMON_STREAMS`` concurrent streams.  Bit-identity
+  gated; the run additionally fails when the daemon's steady-state fps
+  drops below the cold-start pool (``DAEMON_STEADY_FLOOR``) or its p99
+  simulated node latency breaks the ``DAEMON_SLO_P99_MS``
+  machine-protection SLO,
+* ``serve_warm4`` / ``serve_remote2`` — the same block on the farm's
+  persistent warm pool (``start_pool``, 4 local workers) and across two
+  localhost host agents (``repro-hosts/1``, 2 workers each, zero
+  local).  Both pools stay up while ``REMOTE_PAIR_ROUNDS`` alternating
+  rounds time one then the other, so drift of the host hits both sides
+  of each pair.  Bit-identity gated against the sequential farm
+  reference shard by shard; the run fails when the median per-pair
+  ratio of remote to warm fps drops below ``REMOTE_STEADY_FLOOR`` at
+  equal total workers,
 * ``cartpole_closedloop`` — the closed-loop cartpole plant
   (:class:`repro.plants.CartpolePlant`) driven tick by tick on the
   compiled fast path.  Closed loops pay one 1-frame block per tick, so
@@ -143,6 +145,10 @@ REMOTE_HOSTS = 2
 REMOTE_WORKERS_PER_HOST = 2
 REMOTE_STEADY_FLOOR = 0.9
 
+#: Alternating warm/remote round pairs behind the remote gate's median
+#: ratio (one round per side ranged 0.48-1.93 on one tree).
+REMOTE_PAIR_ROUNDS = 5
+
 #: Bursty replay load: stream count, the admission queue bound fed to
 #: the deterministic simulation, and its service model (2 simulated
 #: batch slots, 1.2 ms/frame) — tuned so every stream's bursts
@@ -173,16 +179,28 @@ def _bench(run_round: Callable[[], List[float]], rounds: int,
     records the high-water mark as of its own completion instead of one
     end-of-process figure that hides which path allocated the memory.
     """
-    walls: List[float] = []
-    samples: List[float] = []
+    return _alternate({"run": run_round}, rounds, n_frames)["run"]
+
+
+def _alternate(runs: Dict[str, Callable[[], List[float]]], rounds: int,
+               n_frames: int) -> Dict[str, Dict[str, object]]:
+    """Time *runs* in ``rounds`` alternating passes (one round of each
+    per pass); per run: best-of-rounds fps plus every round's wall."""
+    walls: Dict[str, List[float]] = {name: [] for name in runs}
+    samples: Dict[str, List[float]] = {name: [] for name in runs}
     for _ in range(rounds):
-        t0 = time.perf_counter()
-        samples.extend(run_round())
-        walls.append(time.perf_counter() - t0)
-    best = min(walls)
-    out = {"fps": n_frames / best, "wall_s": best, "frames": n_frames,
-           "rounds": rounds, "peak_rss_kib": _rss_kib()}
-    out.update(_percentiles_ms(samples))
+        for name, run_round in runs.items():
+            t0 = time.perf_counter()
+            samples[name].extend(run_round())
+            walls[name].append(time.perf_counter() - t0)
+    out = {}
+    for name in runs:
+        best = min(walls[name])
+        out[name] = {"fps": n_frames / best, "wall_s": best,
+                     "frames": n_frames, "rounds": rounds,
+                     "round_walls_s": walls[name],
+                     "peak_rss_kib": _rss_kib()}
+        out[name].update(_percentiles_ms(samples[name]))
     return out
 
 
@@ -436,16 +454,6 @@ def build_report(quick: bool = False) -> Dict[str, object]:
                               n_frames),
     }
 
-    # Warm pool: same farm, spawn + worker start paid once before the
-    # timed rounds (replica builds still happen per task, from the warm
-    # byte template).  Started only now so serve_pool4 above stays the
-    # cold-start figure.
-    with farm:
-        farm.start_pool(4)
-        serve_round(4)  # engage the live workers once, untimed
-        benchmarks["serve_warm4"] = _bench(lambda: serve_round(4),
-                                           serve_rounds, n_frames)
-
     # Daemon steady state: spawn + listener up before timing; the first
     # (untimed) round also pays the replica template cold build.
     handle = start_daemon(model, config=RuntimeConfig(batch_inference=True),
@@ -463,10 +471,13 @@ def build_report(quick: bool = False) -> Dict[str, object]:
             f"daemon workers crashed {daemon_report.worker_restarts} "
             f"time(s) during a fault-free benchmark")
 
-    # Cross-host serving: two localhost agents take the farm's shards
-    # over repro-hosts/1.  Identity is gated shard by shard against
-    # the sequential reference (the remote pool scatters each shard's
-    # rows back by global index, so any transport corruption shows).
+    # Warm pool against cross-host serving: two localhost agents take
+    # the farm's shards over repro-hosts/1.  Identity is gated shard by
+    # shard against the sequential reference (the farm scatters each
+    # shard's rows back by global index, so any transport corruption
+    # shows).  Spawn, connect and replica builds are paid before the
+    # timed rounds; the warm pool starts only now so serve_pool4 above
+    # stays the cold-start figure.
     from repro.serve.farm import ShardedNodeFarm
     from repro.serve.remote import spawn_agent
 
@@ -494,11 +505,19 @@ def build_report(quick: bool = False) -> Dict[str, object]:
             batching=BatchingPolicy(max_batch=SERVE_MAX_BATCH),
             seed=7, arrival_mode="backlog",
             hosts=[a1.address, a2.address])
-        with remote_farm:
+        with farm, remote_farm:
+            farm.start_pool(4)
             remote_farm.start_pool(workers=0)
-            remote_round(remote_farm)   # untimed: connect + replica build
-            benchmarks["serve_remote2"] = _bench(
-                lambda: remote_round(remote_farm), serve_rounds, n_frames)
+            serve_round(4)              # untimed: engage the live workers
+            remote_round(remote_farm)   # untimed: replica builds
+            paired = _alternate(
+                {"serve_warm4": lambda: serve_round(4),
+                 "serve_remote2": lambda: remote_round(remote_farm)},
+                REMOTE_PAIR_ROUNDS, n_frames)
+    benchmarks.update(paired)
+    remote_ratios = [w / r for w, r in
+                     zip(paired["serve_warm4"]["round_walls_s"],
+                         paired["serve_remote2"]["round_walls_s"])]
 
     # Closed-loop plant: identity + stabilisation gates first, then the
     # per-tick wall time of the compiled episode.
@@ -698,7 +717,8 @@ def build_report(quick: bool = False) -> Dict[str, object]:
                 "hosts": REMOTE_HOSTS,
                 "workers_per_host": REMOTE_WORKERS_PER_HOST,
                 "local_workers": 0,
-                "rounds": serve_rounds,
+                "rounds": REMOTE_PAIR_ROUNDS,
+                "pair_ratios": remote_ratios,
                 "floor_vs_warm": REMOTE_STEADY_FLOOR,
             },
             "plant": {
@@ -738,8 +758,8 @@ def build_report(quick: bool = False) -> Dict[str, object]:
                            / benchmarks["serve_pool4"]["fps"]),
             "daemon_steady": (benchmarks["daemon_steady"]["fps"]
                               / benchmarks["serve_pool4"]["fps"]),
-            "serve_remote": (benchmarks["serve_remote2"]["fps"]
-                             / benchmarks["serve_warm4"]["fps"]),
+            # Median of the alternating per-pair fps ratios (the gate).
+            "serve_remote": float(np.median(remote_ratios)),
         },
         "obs": last_obs_snapshot.get("snapshot"),
     }
@@ -816,8 +836,10 @@ def main(argv=None) -> int:
     remote = report["meta"]["remote"]
     print(f"  remote: {remote['hosts']} host agents x "
           f"{remote['workers_per_host']} workers at "
-          f"{sp['serve_remote']:.2f}x the in-process warm pool "
-          f"(floor {REMOTE_STEADY_FLOOR:.2f}x, equal total workers, "
+          f"{sp['serve_remote']:.2f}x the in-process warm pool, median of "
+          f"{remote['rounds']} alternating pairs "
+          f"({', '.join(f'{r:.2f}' for r in remote['pair_ratios'])}; "
+          f"floor {REMOTE_STEADY_FLOOR:.2f}x, equal total workers, "
           f"bit-identity gated shard by shard)")
     plant = report["meta"]["plant"]
     print(f"  plant: closed-loop {plant['name']} stabilised in "
