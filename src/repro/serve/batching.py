@@ -30,7 +30,13 @@ import numpy as np
 from repro.soc.board import FRAME_PERIOD_S
 
 __all__ = ["BatchingPolicy", "MicroBatcher", "plan_microbatches",
+           "ARRIVAL_MODES", "check_arrival_mode", "arrivals",
            "stream_arrivals", "backlog_arrivals"]
+
+#: Arrival models of the farm, the daemon's ingress and their references:
+#: ``"stream"`` (one frame per period, a live digitizer grid) or
+#: ``"backlog"`` (everything queued at t=0, a replay).
+ARRIVAL_MODES = ("stream", "backlog")
 
 
 @dataclass(frozen=True)
@@ -143,6 +149,23 @@ def plan_microbatches(arrivals_s: Sequence[float],
     if tail is not None:
         plan.append(tail)
     return plan
+
+
+def check_arrival_mode(mode: str) -> str:
+    """Return *mode*; raise ValueError unless it is an arrival mode."""
+    if mode not in ARRIVAL_MODES:
+        raise ValueError(f"arrival_mode must be one of {ARRIVAL_MODES}, "
+                         f"got {mode!r}")
+    return mode
+
+
+def arrivals(n: int, mode: str, period_s: float = FRAME_PERIOD_S
+             ) -> np.ndarray:
+    """Arrival times of *n* frames under arrival *mode*: the one clock
+    every batch plan is drawn on."""
+    if check_arrival_mode(mode) == "backlog":
+        return backlog_arrivals(n)
+    return stream_arrivals(n, period_s)
 
 
 def stream_arrivals(n: int, period_s: float = FRAME_PERIOD_S) -> np.ndarray:

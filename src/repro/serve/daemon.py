@@ -1,17 +1,17 @@
 """``repro.serve.daemon`` — the persistent async serving front-end.
 
-Architecture (one process, three concurrency domains):
+Architecture (one process, two concurrency domains):
 
 * **asyncio event loop** — accepts many concurrent client connections
   (:mod:`repro.serve.protocol` framing), runs per-stream admission
   control + micro-batching (:class:`StreamIngress`, sans-io so the
-  deterministic parts are unit-testable without sockets), and awaits
-  batch completions.
-* **one pool-driver thread** (:class:`_PoolDriver`) — the *only* owner
-  of the started :class:`~repro.serve.workers.Pool`: it serialises
-  submissions, pumps supervision (crash detection, respawn, requeue),
-  and resolves futures the event loop awaits.  Single ownership means
-  no pool state is ever touched from two threads.
+  deterministic parts are unit-testable without sockets), and is the
+  *only* owner of the started :class:`~repro.serve.workers.Pool`: it
+  keeps a reader on every link handle (:meth:`Pool.handles`), pumps
+  the pool when one is readable or a batch is submitted (supervision
+  included: crash detection, respawn, requeue), and resolves the
+  batches waiting on it.  One thread touches the pool, so no pool
+  state is ever shared; the host agent follows the same rule.
 * **persistent worker processes** — spawned once, each holding a warm
   :class:`~repro.serve.workers.ReplicaSource` and the live per-stream
   runtime replicas (a stream's home worker is the pool's routing).
@@ -47,22 +47,20 @@ Determinism contract — the daemon extension of docs/serving.md:
 from __future__ import annotations
 
 import asyncio
-import concurrent.futures
-import queue as queue_mod
 import socket
 import threading
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.serve.batching import (
     BatchingPolicy,
     MicroBatcher,
-    backlog_arrivals,
+    arrivals,
+    check_arrival_mode,
     plan_microbatches,
-    stream_arrivals,
 )
 from repro.serve.health import FarmHealth, merge_shard_health
 from repro.serve.merge import merge_obs_snapshots
@@ -81,7 +79,14 @@ from repro.serve.protocol import (
     unpack_frame,
     unpack_hello,
 )
-from repro.serve.workers import FarmSpec, Pool, Task, TaskResult, execute_task
+from repro.serve.workers import (
+    BlockHandle,
+    FarmSpec,
+    Pool,
+    Task,
+    TaskResult,
+    execute_task,
+)
 from repro.soc.board import FRAME_PERIOD_S
 from repro.soc.runtime import FrameRecord
 
@@ -94,8 +99,10 @@ __all__ = [
     "serve_streams_reference",
 ]
 
-#: Recognised ingress arrival models (same semantics as the farm's).
-ARRIVAL_MODES = ("stream", "backlog")
+#: While batches wait on the pool, the loop pumps it at least this often
+#: (s), so the pool's stall guard (``STALL_TIMEOUT_S``) fires even when
+#: no link ever answers.
+STALL_CHECK_S = 1.0
 
 
 def _spec_n_monitors(spec: FarmSpec) -> int:
@@ -136,14 +143,11 @@ class StreamIngress:
                  arrival_mode: str = "stream"):
         if queue_limit < 1:
             raise ValueError(f"queue_limit must be >= 1, got {queue_limit}")
-        if arrival_mode not in ARRIVAL_MODES:
-            raise ValueError(f"arrival_mode must be one of {ARRIVAL_MODES}, "
-                             f"got {arrival_mode!r}")
         self.stream_id = stream_id
         self.policy = policy or BatchingPolicy()
         self.period_s = period_s
         self.queue_limit = queue_limit
-        self.arrival_mode = arrival_mode
+        self.arrival_mode = check_arrival_mode(arrival_mode)
         self.frames: List[np.ndarray] = []   # accepted, stream-local order
         self.ready: Deque[Tuple[int, int]] = deque()
         self.accepted = 0
@@ -193,80 +197,6 @@ class StreamIngress:
 
 
 # ----------------------------------------------------------------------
-# Pool driver thread
-# ----------------------------------------------------------------------
-class _PoolDriver(threading.Thread):
-    """Single thread owning the started pool; resolves submit futures.
-
-    The event loop never touches the pool directly.
-    """
-
-    def __init__(self, pool: Pool):
-        super().__init__(daemon=True, name="repro-serve-pool")
-        self.pool = pool
-        self.error: Optional[BaseException] = None
-        self._inbox: queue_mod.SimpleQueue = queue_mod.SimpleQueue()
-        self._live: List[Tuple[Any, concurrent.futures.Future]] = []
-        self._stopping = threading.Event()
-
-    def submit(self, tasks: Sequence[Task]) -> concurrent.futures.Future:
-        fut: concurrent.futures.Future = concurrent.futures.Future()
-        if self.error is not None:
-            fut.set_exception(self.error)
-            return fut
-        self._inbox.put((tasks, fut))
-        return fut
-
-    def stop(self) -> None:
-        self._stopping.set()
-
-    def run(self) -> None:
-        try:
-            self.pool.start()
-            while True:
-                try:
-                    item = self._inbox.get(
-                        timeout=0.002 if self._live else 0.05)
-                except queue_mod.Empty:
-                    item = None
-                if item is not None:
-                    tasks, fut = item
-                    try:
-                        handle = self.pool.submit(tasks)
-                    except BaseException as exc:
-                        fut.set_exception(exc)
-                    else:
-                        self._live.append((handle, fut))
-                self.pool.pump(0.02)
-                if self._live:
-                    still = []
-                    for handle, fut in self._live:
-                        if handle.done:
-                            fut.set_result(handle)
-                        else:
-                            still.append((handle, fut))
-                    self._live = still
-                if (self._stopping.is_set() and not self._live
-                        and self._inbox.empty()):
-                    return
-        except BaseException as exc:
-            self.error = exc
-            for _handle, fut in self._live:
-                if not fut.done():
-                    fut.set_exception(exc)
-            self._live = []
-            while True:
-                try:
-                    _tasks, fut = self._inbox.get_nowait()
-                except queue_mod.Empty:
-                    break
-                if not fut.done():
-                    fut.set_exception(exc)
-        finally:
-            self.pool.close()
-
-
-# ----------------------------------------------------------------------
 # Daemon
 # ----------------------------------------------------------------------
 @dataclass
@@ -306,13 +236,14 @@ class _Stream:
 class ServingDaemon:
     """Persistent asyncio serving front over a warm worker pool.
 
-    Lifecycle: ``await start()`` spawns the pool (in its driver thread)
-    and begins listening; clients connect, HELLO a stream id, and
-    stream frames; ``await drain()`` stops admission, flushes every
-    accepted frame, and returns the epoch's :class:`DaemonReport`;
-    ``await reload()`` drains and then swaps in a fresh pool (same or
-    new spec) without dropping the listener; ``await stop()`` drains
-    and tears everything down.  Synchronous callers use
+    Lifecycle: ``await start()`` spawns the pool and begins listening;
+    clients connect, HELLO a stream id, and stream frames; ``await
+    drain()`` stops admission, flushes every accepted frame, and
+    returns the epoch's :class:`DaemonReport`; ``await reload()``
+    drains and then swaps in a fresh pool (same or new spec) without
+    dropping the listener; ``await stop()`` drains and tears everything
+    down.  Both finish their teardown even when a stream failed, then
+    raise that stream's error.  Synchronous callers use
     :class:`DaemonHandle`.
     """
 
@@ -325,23 +256,24 @@ class ServingDaemon:
                  max_restarts: int = 32):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if arrival_mode not in ARRIVAL_MODES:
-            raise ValueError(f"arrival_mode must be one of {ARRIVAL_MODES}, "
-                             f"got {arrival_mode!r}")
         self.spec = spec
         self.workers = workers
         self.batching = batching or BatchingPolicy()
         self.seed = seed
         self.queue_limit = queue_limit
-        self.arrival_mode = arrival_mode
+        self.arrival_mode = check_arrival_mode(arrival_mode)
         self.host = host
         self.port = port
         self.max_restarts = max_restarts
         self.n_monitors = _spec_n_monitors(spec)
         self._streams: Dict[int, _Stream] = {}
         self._server: Optional[asyncio.base_events.Server] = None
-        self._driver: Optional[_PoolDriver] = None
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._pool: Optional[Pool] = None
+        self._pool_error: Optional[BaseException] = None
+        self._waiting: List[Tuple[BlockHandle, asyncio.Future]] = []
+        self._readers: Dict[Any, int] = {}      # pool handle -> its fd
+        self._stall_check: Optional[asyncio.TimerHandle] = None
         self._tasks: set = set()
         self._next_tid = 0
         self._next_auto_sid = 0
@@ -349,11 +281,6 @@ class ServingDaemon:
         self._closed = False
 
     # -- lifecycle -----------------------------------------------------
-    @property
-    def period_s(self) -> float:
-        cfg = self.spec.config
-        return cfg.period_s if cfg is not None else FRAME_PERIOD_S
-
     @property
     def address(self) -> Tuple[str, int]:
         if self._server is None:
@@ -363,16 +290,12 @@ class ServingDaemon:
     async def start(self) -> "ServingDaemon":
         if self._server is not None:
             raise RuntimeError("daemon already started")
-        self._start_pool()
+        self._loop = asyncio.get_running_loop()
+        # Bind first: a taken port then fails before any worker spawns.
         self._server = await asyncio.start_server(
             self._handle_conn, host=self.host, port=self.port)
+        self._start_pool()
         return self
-
-    def _start_pool(self) -> None:
-        self._pool = Pool(self.spec, self.workers,
-                          max_restarts=self.max_restarts)
-        self._driver = _PoolDriver(self._pool)
-        self._driver.start()
 
     async def drain(self) -> DaemonReport:
         """Stop admission, flush all accepted frames, report the epoch.
@@ -402,41 +325,103 @@ class ServingDaemon:
         closed after their results are delivered (clients reconnect to
         the new epoch).  Stream ids may be reused after the reload.
         """
-        report = await self.drain()
-        for s in list(self._streams.values()):
-            if s.writer is not None:
-                try:
-                    s.writer.close()
-                except Exception:  # pragma: no cover - defensive
-                    pass
-        driver = self._driver
-        driver.stop()
-        await asyncio.get_running_loop().run_in_executor(None, driver.join)
-        if spec is not None:
-            self.spec = spec
-            self.n_monitors = _spec_n_monitors(spec)
-        self._streams.clear()
-        self._start_pool()
-        self._draining = False
-        return report
+        try:
+            return await self.drain()
+        finally:
+            self._close_clients()
+            self._close_pool(RuntimeError("the daemon reloaded its pool"))
+            if spec is not None:
+                self.spec = spec
+                self.n_monitors = _spec_n_monitors(spec)
+            self._streams.clear()
+            self._start_pool()
+            self._draining = False
 
     async def stop(self) -> DaemonReport:
         """Drain, close the listener, tear down the pool."""
-        report = await self.drain()
-        self._closed = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        for s in list(self._streams.values()):
+        try:
+            return await self.drain()
+        finally:
+            self._closed = True
+            if self._server is not None:
+                self._server.close()
+                await self._server.wait_closed()
+            self._close_clients()
+            self._close_pool(RuntimeError("the daemon is stopped"))
+
+    def _close_clients(self) -> None:
+        for s in self._streams.values():
             if s.writer is not None:
                 try:
                     s.writer.close()
                 except Exception:  # pragma: no cover - defensive
                     pass
-        driver = self._driver
-        driver.stop()
-        await asyncio.get_running_loop().run_in_executor(None, driver.join)
-        return report
+
+    # -- the pool, owned by the loop -----------------------------------
+    def _start_pool(self) -> None:
+        self._pool = Pool(self.spec, self.workers,
+                          max_restarts=self.max_restarts).start()
+        self._pool_error = None
+        self._sync_readers()
+
+    async def _run_task(self, task: Task) -> BlockHandle:
+        """Submit *task* and wait until the pool settles it."""
+        if self._pool_error is not None:
+            raise self._pool_error
+        done = self._loop.create_future()
+        self._waiting.append((self._pool.submit([task]), done))
+        self._pump()
+        return await done
+
+    def _pump(self) -> None:
+        """Pump the pool once without waiting, then resolve the settled
+        batches and re-sync the readers and the stall check."""
+        try:
+            self._pool.pump(0.0)
+        except Exception as exc:
+            self._close_pool(exc)
+            return
+        for handle, done in self._waiting:
+            if handle.done and not done.done():
+                done.set_result(handle)
+        self._waiting = [(h, d) for h, d in self._waiting if not h.done]
+        self._sync_readers()
+        if self._waiting and self._stall_check is None:
+            self._stall_check = self._loop.call_later(STALL_CHECK_S,
+                                                      self._stall_tick)
+
+    def _stall_tick(self) -> None:
+        self._stall_check = None
+        self._pump()
+
+    def _sync_readers(self) -> None:
+        """Keep one reader per live pool handle.  A lost link's handle is
+        closed inside the pump and its respawn may reuse the fd number,
+        so readers are tracked per handle object, and stale ones are
+        removed before new ones are added."""
+        live = self._pool.handles() if self._pool_error is None else []
+        for handle in [h for h in self._readers if h not in live]:
+            self._loop.remove_reader(self._readers.pop(handle))
+        for handle in live:
+            if handle not in self._readers:
+                self._readers[handle] = handle.fileno()
+                self._loop.add_reader(self._readers[handle], self._pump)
+
+    def _close_pool(self, error: BaseException) -> None:
+        """Stop driving the pool and close it; every batch waiting on it,
+        and every later one, fails with *error*."""
+        if self._pool_error is not None:
+            return
+        self._pool_error = error
+        self._sync_readers()
+        if self._stall_check is not None:
+            self._stall_check.cancel()
+            self._stall_check = None
+        for _handle, done in self._waiting:
+            if not done.done():
+                done.set_exception(error)
+        self._waiting = []
+        self._pool.close()
 
     # -- per-connection handler ----------------------------------------
     def _allocate_sid(self, requested: int) -> Optional[int]:
@@ -506,7 +491,7 @@ class ServingDaemon:
                             return
                         ingress = StreamIngress(
                             sid, policy=self.batching,
-                            period_s=self.period_s,
+                            period_s=self.spec.period_s,
                             queue_limit=self.queue_limit,
                             arrival_mode=self.arrival_mode)
                         stream = _Stream(sid, ingress, writer)
@@ -624,7 +609,7 @@ class ServingDaemon:
                         replay=replay,
                         frames=np.asarray(s.ingress.frames[a - n_replay:b],
                                           dtype=np.float64))
-            handle = await asyncio.wrap_future(self._driver.submit([task]))
+            handle = await self._run_task(task)
             if not handle.failed:
                 return handle.results[task.task_id]
         raise RuntimeError(f"stream {s.sid}: batch ({a}, {b}) failed after "
@@ -638,7 +623,7 @@ class ServingDaemon:
             task = Task(task_id=self._alloc_tid(), session=s.sid,
                         seed_entropy=self.seed, start=s.ingress.accepted,
                         final=True)
-            handle = await asyncio.wrap_future(self._driver.submit([task]))
+            handle = await self._run_task(task)
             # Failed back when the home died after the last batch: keep
             # the last batch's (cumulative) health; the obs snapshot is
             # lost with the replica.
@@ -757,11 +742,12 @@ class DaemonHandle:
     def stop(self, timeout_s: float = 300.0) -> Optional[DaemonReport]:
         if self._stopped:
             return None
-        report = self._call(self.daemon.stop(), timeout_s)
-        self._stopped = True
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=10.0)
-        return report
+        try:
+            return self._call(self.daemon.stop(), timeout_s)
+        finally:
+            self._stopped = True
+            self._loop.call_soon_threadsafe(self._loop.stop)
+            self._thread.join(timeout=10.0)
 
     def __enter__(self) -> "DaemonHandle":
         return self
@@ -801,15 +787,12 @@ def serve_streams_reference(spec: FarmSpec,
     """
     policy = batching or BatchingPolicy()
     if period_s is None:
-        cfg = spec.config
-        period_s = cfg.period_s if cfg is not None else FRAME_PERIOD_S
+        period_s = spec.period_s
     out: Dict[int, ReferenceStream] = {}
     for sid, frames in stream_frames.items():
         frames = np.ascontiguousarray(frames, dtype=np.float64)
-        n = frames.shape[0]
-        arrivals = (backlog_arrivals(n) if arrival_mode == "backlog"
-                    else stream_arrivals(n, period_s))
-        plan = plan_microbatches(arrivals, policy)
+        plan = plan_microbatches(
+            arrivals(frames.shape[0], arrival_mode, period_s), policy)
         result = execute_task(spec, Task(task_id=sid, session=sid,
                                          seed_entropy=seed,
                                          batches=tuple(plan), frames=frames))

@@ -39,9 +39,9 @@ import numpy as np
 
 from repro.serve.batching import (
     BatchingPolicy,
-    backlog_arrivals,
+    arrivals,
+    check_arrival_mode,
     plan_microbatches,
-    stream_arrivals,
 )
 from repro.serve.health import FarmHealth, merge_shard_health
 from repro.serve.merge import merge_obs_snapshots
@@ -55,13 +55,9 @@ from repro.serve.workers import (
     Task,
     execute_task,
 )
-from repro.soc.board import FRAME_PERIOD_S
 from repro.soc.runtime import FrameRecord
 
 __all__ = ["ShardedNodeFarm", "FarmPlan", "FarmResult"]
-
-#: Recognised arrival models for :meth:`ShardedNodeFarm.serve`.
-ARRIVAL_MODES = ("stream", "backlog")
 
 
 @dataclass(frozen=True)
@@ -124,11 +120,12 @@ class ShardedNodeFarm:
     hosts:
         ``"host:port"`` addresses of running
         :class:`~repro.serve.remote.HostAgent` processes.  When given,
-        every pooled :meth:`serve` dispatches shard tasks uniformly
-        across the in-process workers (``workers`` of them; 0 = fully
-        remote) *and* the remote hosts, links of one
-        :class:`~repro.serve.workers.Pool` — with partition-aware crash
-        recovery and the same bit-identity contract.
+        every pooled :meth:`serve` or :meth:`serve_plant` dispatches
+        shard tasks uniformly across the in-process workers
+        (``workers`` of them; 0 = fully remote) *and* the remote
+        hosts, links of one :class:`~repro.serve.workers.Pool` — with
+        partition-aware crash recovery and the same bit-identity
+        contract.
     """
 
     def __init__(self, spec: FarmSpec, *, n_shards: int = 4,
@@ -138,14 +135,11 @@ class ShardedNodeFarm:
                  hosts: Sequence[Any] = ()):
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-        if arrival_mode not in ARRIVAL_MODES:
-            raise ValueError(f"arrival_mode must be one of {ARRIVAL_MODES}, "
-                             f"got {arrival_mode!r}")
         self.spec = spec
         self.n_shards = n_shards
         self.batching = batching or BatchingPolicy()
         self.seed = seed
-        self.arrival_mode = arrival_mode
+        self.arrival_mode = check_arrival_mode(arrival_mode)
         self.hosts = tuple(hosts)
         self._pool: Optional[Pool] = None
 
@@ -193,11 +187,6 @@ class ShardedNodeFarm:
 
     # ------------------------------------------------------------------
     @property
-    def period_s(self) -> float:
-        cfg = self.spec.config
-        return cfg.period_s if cfg is not None else FRAME_PERIOD_S
-
-    @property
     def _closed_loop(self) -> bool:
         """True when the spec's plant synthesises its own frames."""
         return bool(getattr(self.spec.plant, "closed_loop", False))
@@ -226,10 +215,9 @@ class ShardedNodeFarm:
             if self._closed_loop:
                 batches = tuple((i, i + 1) for i in range(n))
             else:
-                arrivals = (backlog_arrivals(n)
-                            if self.arrival_mode == "backlog"
-                            else stream_arrivals(n, self.period_s))
-                batches = tuple(plan_microbatches(arrivals, self.batching))
+                batches = tuple(plan_microbatches(
+                    arrivals(n, self.arrival_mode, self.spec.period_s),
+                    self.batching))
             tasks.append(Task(
                 task_id=s, session=s, seed_entropy=self.seed,
                 batches=batches, final=True, crash=s in crash_set,
@@ -285,18 +273,17 @@ class ShardedNodeFarm:
         from the spec's plant and feeds every published action back
         before the next frame, so actuation order within a shard is
         total and the run is bit-identical to
-        :meth:`serve_plant_reference` for every worker count —
-        including under *chaos_crash_shards* (a shard's task is pure,
-        so the supervisor requeues a crashed shard's whole session).
-        Runs on local workers only.
+        :meth:`serve_plant_reference` for every worker count and
+        topology — local workers, host agents, or both, as for
+        :meth:`serve` — including under *chaos_crash_shards* (a
+        shard's task is pure, so the supervisor requeues a crashed
+        shard's whole session).
         """
-        if self.hosts:
-            raise ValueError("closed-loop plant serving is single-machine: "
-                             "serve_plant runs on local workers only")
         self._check_plant(n_frames)
         self._check_workers(workers, chaos_crash_shards)
         return self._run(self.plan(n_frames, chaos_crash_shards),
-                         workers if workers >= 1 else None, max_restarts)
+                         workers if workers >= 1 or self.hosts else None,
+                         max_restarts)
 
     def serve_plant_reference(self, n_frames: int) -> FarmResult:
         """The sequential in-process closed-loop reference."""

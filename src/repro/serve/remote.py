@@ -35,6 +35,7 @@ notices its parent vanished and exits instead of lingering.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import pickle
 import signal
@@ -155,8 +156,9 @@ class HostAgent:
         self._pool: Optional[Pool] = None
         self._spec_payload: Optional[bytes] = None
         self._conns: Dict[socket.socket, _AgentConn] = {}
-        # task_id -> (conn, handle)
-        self._inflight: Dict[int, Tuple[_AgentConn, BlockHandle]] = {}
+        # agent task id -> (conn, the farm's task id, handle)
+        self._inflight: Dict[int, Tuple[_AgentConn, int, BlockHandle]] = {}
+        self._next_tid = 0
         self._stop = False
 
     # -- lifecycle -----------------------------------------------------
@@ -325,11 +327,16 @@ class HostAgent:
                 if not isinstance(task, Task):
                     raise TypeError(f"payload must be a pickled Task, got "
                                     f"{type(task).__name__}")
-                handle = self._pool.submit([task])
+                # Every farm numbers its tasks from 0, so the agent's
+                # pool runs each under an agent-wide id.  The session
+                # stays the farm's: it seeds the replica.
+                handle = self._pool.submit(
+                    [dataclasses.replace(task, task_id=self._next_tid)])
             except Exception as exc:
                 self._refuse(conn, f"bad HOST_TASK: {exc}")
                 return
-            self._inflight[task.task_id] = (conn, handle)
+            self._inflight[self._next_tid] = (conn, task.task_id, handle)
+            self._next_tid += 1
             return
         if kind == MsgKind.ERROR:  # pragma: no cover - client courtesy
             self._close_conn(conn)
@@ -339,13 +346,16 @@ class HostAgent:
 
     # -- completion ----------------------------------------------------
     def _collect_done(self) -> None:
-        for tid in [t for t, (_, h) in self._inflight.items() if h.done]:
-            conn, handle = self._inflight.pop(tid)
+        for tid in [t for t, (_, _, h) in self._inflight.items() if h.done]:
+            conn, farm_tid, handle = self._inflight.pop(tid)
             if conn.closed:
                 continue            # farm gone; result has no audience
             # A failed-back task (its session's state died with an agent
             # worker) travels as None, and the farm's pool fails it too.
-            payload = pickle.dumps((tid, handle.results.get(tid)))
+            result = handle.results.get(tid)
+            if result is not None:
+                result.task_id = farm_tid
+            payload = pickle.dumps((farm_tid, result))
             try:
                 _send_msg(conn.sock, pack(MsgKind.HOST_RESULT, payload,
                                           max_payload=HOST_MAX_PAYLOAD))
@@ -354,7 +364,7 @@ class HostAgent:
 
     def _fail_everything(self, text: str) -> None:
         """The internal pool is beyond repair: tell every client, reset."""
-        for conn, _ in self._inflight.values():
+        for conn, _, _ in self._inflight.values():
             self._refuse(conn, text)
         self._inflight.clear()
         if self._pool is not None:

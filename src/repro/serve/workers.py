@@ -55,6 +55,7 @@ import numpy as np
 
 from repro.obs import ObsConfig, Observability
 from repro.serve.sharding import shard_seed
+from repro.soc.board import FRAME_PERIOD_S
 from repro.soc.runtime import (
     STATUS_CORRUPT,
     STATUS_DEGRADED,
@@ -136,6 +137,12 @@ class FarmSpec:
     obs: Optional[ObsConfig] = None
     injector: Any = None        # FaultInjector (stateless, picklable)
     plant: Any = None           # Plant (frozen, picklable)
+
+    @property
+    def period_s(self) -> float:
+        """The replica's frame period: its config's, else the paper's."""
+        return (FRAME_PERIOD_S if self.config is None
+                else self.config.period_s)
 
     def build_runtime(self) -> CentralNodeRuntime:
         """A fresh, fully private runtime replica (cold build).
@@ -598,7 +605,8 @@ class Pool:
 
     # -- supervision ---------------------------------------------------
     def pump(self, timeout_s: float = 0.05) -> bool:
-        """One supervision step: dispatch, wait, collect, repair.
+        """One supervision step: dispatch, wait, collect, repair, and
+        dispatch again into the slots the news freed.
 
         Returns True when any link had news (a result or a lost link).
         Raises :class:`WorkerCrashError` on budget exhaustion, a
@@ -619,6 +627,7 @@ class Pool:
                 self._lose(link, str(exc))
         if ready:
             self._last_progress = time.monotonic()
+            self._dispatch()
         elif (self._blocks and time.monotonic() - self._last_progress
               > STALL_TIMEOUT_S):
             raise WorkerCrashError(

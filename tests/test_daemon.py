@@ -343,7 +343,7 @@ class TestDaemonEndToEnd:
             deadline = time.monotonic() + 60
             while (pool.stats.worker_restarts < 1
                    and time.monotonic() < deadline):
-                time.sleep(0.02)                # driver thread reaps
+                time.sleep(0.02)                # the loop's reader reaps
             for i in range(8, 16):
                 c.send(frames[i])
             c.finish(timeout_s=120)
@@ -354,6 +354,88 @@ class TestDaemonEndToEnd:
             c.close()
         assert report.worker_restarts >= 1
         assert report.frames_total == 16
+
+    def test_stalled_worker_fails_the_stream_and_stop_still_tears_down(
+            self, tiny_hls, monkeypatch):
+        # A home worker that stops answering (SIGSTOP: alive, silent) is
+        # caught by the pool's stall guard, which only the loop's stall
+        # check can reach: no result, no EOF, so no reader ever fires.
+        # stop() must then finish its teardown and only after that
+        # raise the failed stream's error.
+        import socket as socket_mod
+
+        import repro.serve.workers as workers_mod
+        from repro.serve import WorkerCrashError
+
+        monkeypatch.setattr(workers_mod, "STALL_TIMEOUT_S", 2.0)
+        frames = frames_for(16)
+        handle = launch(tiny_hls)
+        stopped_pid = None
+        try:
+            c = handle.client(stream_id=0)
+            for i in range(8):
+                c.send(frames[i])
+            deadline = time.monotonic() + 120
+            while len(c.results) < 6 and time.monotonic() < deadline:
+                c.pump()
+                time.sleep(0.002)
+            assert len(c.results) >= 6
+            stopped_pid = handle.daemon._pool.home(0).pid
+            os.kill(stopped_pid, signal.SIGSTOP)
+            for i in range(8, 16):
+                c.send(frames[i])
+            t0 = time.monotonic()
+            with pytest.raises(ProtocolError,
+                               match="stream failed: no progress for 2s"):
+                c.finish(timeout_s=60)
+            assert time.monotonic() - t0 >= 2.0
+            c.close()
+            address = handle.address
+            with pytest.raises(WorkerCrashError, match="no progress for 2s"):
+                handle.stop()
+            assert handle._stopped and not handle._thread.is_alive()
+            with pytest.raises(OSError):
+                socket_mod.create_connection(address, timeout=5).close()
+        finally:
+            if stopped_pid is not None:
+                try:
+                    os.kill(stopped_pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+            handle.stop()
+
+    def test_reload_after_a_pool_failure_reopens(self, tiny_hls, tiny_spec):
+        # With no restart budget, killing the home worker fails the pool
+        # and the stream.  reload() still swaps in a fresh pool and
+        # reopens admission, then raises that failure.
+        from repro.serve import WorkerCrashError
+
+        frames = frames_for(10)
+        ref = serve_streams_reference(
+            tiny_spec, {0: frames}, batching=BatchingPolicy(max_batch=4),
+            seed=5)
+        with launch(tiny_hls, max_restarts=0) as handle:
+            c = handle.client(stream_id=0)
+            for i in range(4):
+                c.send(frames[i])
+            deadline = time.monotonic() + 120
+            while len(c.results) < 2 and time.monotonic() < deadline:
+                c.pump()
+                time.sleep(0.002)
+            assert len(c.results) >= 2
+            os.kill(handle.daemon._pool.home(0).pid, signal.SIGKILL)
+            with pytest.raises(ProtocolError, match="restart budget"):
+                c.finish(timeout_s=60)
+            c.close()
+            with pytest.raises(WorkerCrashError, match="restart budget"):
+                handle.reload()
+            c2 = handle.client(stream_id=0)
+            for f in frames:
+                c2.send(f)
+            c2.finish(timeout_s=120)
+            got = np.asarray([c2.results[i] for i in range(len(frames))])
+            assert np.array_equal(got, ref[0].rows)
+            c2.close()
 
     def test_stream_finishes_when_it_drains(self, tiny_hls):
         # A stream that ends (EOS) and completes its last batch sends its
@@ -463,11 +545,23 @@ class TestDaemonFacade:
         with pytest.raises(TypeError, match="ObsConfig"):
             start_daemon(tiny_hls, obs=object())
 
+    def test_taken_port_fails_before_spawning_workers(self, tiny_hls):
+        import multiprocessing as mp
+
+        with launch(tiny_hls, workers=1) as handle:
+            children = len(mp.active_children())
+            with pytest.raises(OSError):
+                launch(tiny_hls, port=handle.address[1])
+            assert len(mp.active_children()) == children
+
     def test_daemon_validation(self, tiny_spec):
         with pytest.raises(ValueError, match="workers"):
             ServingDaemon(tiny_spec, workers=0)
         with pytest.raises(ValueError, match="arrival_mode"):
             ServingDaemon(tiny_spec, arrival_mode="poisson")
+        with pytest.raises(ValueError, match="arrival_mode"):
+            serve_streams_reference(tiny_spec, {0: frames_for(2)},
+                                    arrival_mode="poisson")
 
     def test_exports(self):
         import repro.serve as serve

@@ -328,10 +328,23 @@ class TestCartpoleFarm:
         with pytest.raises(ValueError, match="serve_plant"):
             start_daemon(cartpole_hls, plant=CartpolePlant())
 
-    def test_closed_loop_serving_is_single_machine(self, cartpole_hls):
-        farm = self.farm_for(cartpole_hls, hosts=("localhost:1",))
-        with pytest.raises(ValueError, match="single-machine"):
-            farm.serve_plant(self.N_FRAMES)
+    def test_closed_loop_serving_over_a_host_agent(self, cartpole_hls):
+        # The closed-loop task carries no frames, so it runs on a host
+        # agent's worker as on a local one, crash requeue included.
+        from repro.serve.remote import spawn_agent
+
+        reference = self.farm_for(cartpole_hls).serve_plant_reference(
+            self.N_FRAMES)
+        with spawn_agent(workers=2) as agent:
+            farm = self.farm_for(cartpole_hls, hosts=[agent.address])
+            plain = farm.serve_plant(self.N_FRAMES, workers=0)
+            chaos = farm.serve_plant(self.N_FRAMES, workers=0,
+                                     chaos_crash_shards=[1])
+        golden = serialize_records(reference.records)
+        for run in (plain, chaos):
+            assert serialize_records(run.records) == golden
+            assert run.health.control == reference.health.control
+            assert run.health.host_failures == 0
 
 
 # ----------------------------------------------------------------------

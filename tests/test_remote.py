@@ -233,6 +233,38 @@ class TestCrossHost:
             time.sleep(0.05)
         assert not any(_alive(pid) for pid, _ in kids), kids
 
+    def test_farms_sharing_an_agent_keep_their_own_task_ids(self,
+                                                            tiny_hls):
+        # Every farm numbers its tasks from 0; the agent runs them under
+        # agent-wide ids and answers each farm under its own.  The two
+        # farms' seeds differ, so any crossed result shows.
+        frames = frames_for(12)
+        farms = [farm_for(tiny_hls, n_shards=2, seed=seed)
+                 for seed in (3, 4)]
+        with spawn_agent(workers=2) as agent:
+            hosted = [ShardedNodeFarm(
+                farms[0].spec, n_shards=2, batching=f.batching, seed=f.seed,
+                hosts=[agent.address]) for f in farms]
+            pools = [h.start_pool(workers=0, max_restarts=0) for h in hosted]
+            try:
+                handles = [p.submit(h.plan(len(frames), frames=frames).tasks)
+                           for p, h in zip(pools, hosted)]
+                deadline = time.monotonic() + 120
+                while (not all(h.done for h in handles)
+                       and time.monotonic() < deadline):
+                    for pool in pools:
+                        pool.pump(0.02)
+                for f, handle in zip(farms, handles):
+                    assert handle.done and not handle.failed
+                    assert _shard_rows(handle) == _shard_rows_of(
+                        f.serve_reference(frames), 2)
+                    assert sorted(handle.results) == [0, 1]
+                    assert all(handle.results[tid].task_id == tid
+                               for tid in handle.results)
+            finally:
+                for pool in pools:
+                    pool.close()
+
     def test_partition_budget_exhausts_into_crash_error(self, tiny_hls):
         # One host, no local workers, budget 0: losing the only link
         # must surface as WorkerCrashError, not a hang.

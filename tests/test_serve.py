@@ -633,6 +633,47 @@ class TestWarmPool:
         assert wall >= 0.12          # it actually waited
         assert cpu < wall / 2        # ... by sleeping, not spinning
 
+    def test_pump_dispatches_into_the_slot_a_result_frees(self, tiny_hls):
+        # A task queued behind a busy worker goes out in the same pump
+        # that collects that worker's result.  An event loop that pumps
+        # only when a link has news (the daemon, the host agent) would
+        # otherwise leave it queued until its next wake-up.
+        pool = Pool(FarmSpec(model=tiny_hls), 1).start()
+        try:
+            handle = pool.submit([
+                Task(task_id=i, session=i, seed_entropy=0,
+                     batches=((0, 2),), frames=frames_for(2))
+                for i in range(2)])
+            deadline = time.monotonic() + 60
+            while not handle.results and time.monotonic() < deadline:
+                pool.pump(0.05)
+            assert list(handle.results) == [0]
+            assert list(pool.links[0].inflight) == [1]
+            pool.wait(handle, timeout_s=60)
+        finally:
+            pool.close()
+
+    def test_silent_worker_trips_the_stall_guard(self, tiny_hls,
+                                                 monkeypatch):
+        # A stopped worker is alive but never answers: no result, no
+        # EOF.  Only the stall guard ends the wait, with an error.
+        import repro.serve.workers as workers_mod
+
+        monkeypatch.setattr(workers_mod, "STALL_TIMEOUT_S", 2.0)
+        pool = Pool(FarmSpec(model=tiny_hls), 1).start()
+        pid = pool.links[0].pid
+        try:
+            os.kill(pid, signal.SIGSTOP)
+            task = Task(task_id=0, session=0, seed_entropy=0,
+                        batches=((0, 4),), frames=frames_for(4))
+            t0 = time.monotonic()
+            with pytest.raises(WorkerCrashError, match="no progress for 2s"):
+                pool.wait(pool.submit([task]), timeout_s=60)
+            assert time.monotonic() - t0 >= 2.0
+        finally:
+            os.kill(pid, signal.SIGKILL)
+            pool.close()
+
     def test_worker_exits_when_its_supervisor_pid_is_dead(self, tiny_hls):
         # Regression: a worker whose supervisor died while it was still
         # starting used to take init as its supervisor and loop forever.

@@ -19,8 +19,10 @@ results to ``BENCH_inference.json``:
   profiled batched pass, with compiled fused steps lined up against the
   sum of the naive kernels they absorbed,
 * ``speedups`` — batched-over-sequential and compiled-over-batched
-  ratios, plus the traced-over-untraced ``obs_overhead`` ratio (the run
-  fails when tracing costs more than ``1 - OBS_OVERHEAD_FLOOR`` of fps),
+  ratios, plus the traced-over-untraced ``obs_overhead`` ratio: the
+  median per-pass fps ratio of ``OBS_PAIR_ROUNDS`` alternating passes
+  of the traced compiled loop and an untraced twin (the run fails when
+  tracing costs more than ``1 - OBS_OVERHEAD_FLOOR`` of fps),
 * ``obs`` — the metrics/spans/recorder snapshot from the traced round,
 * ``runtime_chaos_sequential`` / ``chaos_compiled`` — the control loop
   under an active fault schedule (every fault class at moderate rates),
@@ -106,6 +108,11 @@ REGRESSION_FLOOR = 0.8
 #: fps (the obs layer's contract: near-zero overhead when on, zero when
 #: off).  Checked on every run, no baseline file needed.
 OBS_OVERHEAD_FLOOR = 0.9
+
+#: Alternating untraced/traced passes behind the observability gate's
+#: median ratio (two best-of-rounds figures timed apart read 0.74-0.99
+#: on one tree).
+OBS_PAIR_ROUNDS = 5
 
 #: Speculative chaos fast path must beat the sequential fault-path
 #: baseline by at least this factor within the same run (no baseline
@@ -441,9 +448,6 @@ def build_report(quick: bool = False) -> Dict[str, object]:
                                   n_frames),
         "runtime_compiled": _bench(lambda: runtime_round(compiled_model, True),
                                    rounds, n_frames),
-        "runtime_compiled_traced": _bench(
-            lambda: runtime_round(compiled_model, True, traced=True),
-            rounds, n_frames),
         "runtime_chaos_sequential": _bench(
             lambda: chaos_round(model, False), rounds, n_frames),
         "chaos_compiled": _bench(
@@ -453,6 +457,19 @@ def build_report(quick: bool = False) -> Dict[str, object]:
         "serve_pool4": _bench(lambda: serve_round(4), serve_rounds,
                               n_frames),
     }
+
+    # Observability cost: the traced compiled loop against an untraced
+    # twin in alternating passes, so drift of the host hits both sides
+    # of each pair.  ``runtime_compiled`` above keeps its own rounds: it
+    # feeds the baseline gate.
+    obs_pairs = _alternate(
+        {"untraced": lambda: runtime_round(compiled_model, True),
+         "traced": lambda: runtime_round(compiled_model, True, traced=True)},
+        OBS_PAIR_ROUNDS, n_frames)
+    benchmarks["runtime_compiled_traced"] = obs_pairs["traced"]
+    obs_ratios = [u / t for u, t in
+                  zip(obs_pairs["untraced"]["round_walls_s"],
+                      obs_pairs["traced"]["round_walls_s"])]
 
     # Daemon steady state: spawn + listener up before timing; the first
     # (untimed) round also pays the replica template cold build.
@@ -713,6 +730,11 @@ def build_report(quick: bool = False) -> Dict[str, object]:
                 "frames_shed": daemon_report.frames_shed,
                 "batches": daemon_report.batches,
             },
+            "obs": {
+                "rounds": OBS_PAIR_ROUNDS,
+                "pair_ratios": obs_ratios,
+                "floor": OBS_OVERHEAD_FLOOR,
+            },
             "remote": {
                 "hosts": REMOTE_HOSTS,
                 "workers_per_host": REMOTE_WORKERS_PER_HOST,
@@ -747,8 +769,8 @@ def build_report(quick: bool = False) -> Dict[str, object]:
                         / benchmarks["runtime_sequential"]["fps"]),
             "runtime_compile": (benchmarks["runtime_compiled"]["fps"]
                                 / benchmarks["runtime_batched"]["fps"]),
-            "obs_overhead": (benchmarks["runtime_compiled_traced"]["fps"]
-                             / benchmarks["runtime_compiled"]["fps"]),
+            # Median of the alternating per-pass fps ratios (the gate).
+            "obs_overhead": float(np.median(obs_ratios)),
             "chaos_speculation": (
                 benchmarks["chaos_compiled"]["fps"]
                 / benchmarks["runtime_chaos_sequential"]["fps"]),
@@ -815,9 +837,12 @@ def main(argv=None) -> int:
           f"runtime {sp['runtime']:.2f}x "
           f"(compile {sp['runtime_compile']:.2f}x); "
           f"peak RSS {report['peak_rss_kib']} KiB")
+    obs = report["meta"]["obs"]
     print(f"  obs overhead: traced compiled loop at "
-          f"{sp['obs_overhead']:.2f}x untraced fps "
-          f"(floor {OBS_OVERHEAD_FLOOR:.2f}x)")
+          f"{sp['obs_overhead']:.2f}x untraced fps, median of "
+          f"{obs['rounds']} alternating passes "
+          f"({', '.join(f'{r:.2f}' for r in obs['pair_ratios'])}; "
+          f"floor {OBS_OVERHEAD_FLOOR:.2f}x)")
     chaos = report["meta"]["chaos"]
     print(f"  chaos: speculative compiled loop at "
           f"{sp['chaos_speculation']:.2f}x the sequential fault-path "
