@@ -410,8 +410,8 @@ def serve_frames(model, frames: np.ndarray, *,
     are then rejected, mirroring :func:`run_control_loop`'s runtime
     reuse).  ``workers >= 1`` runs the spawn worker pool; ``workers ==
     0`` runs the identical plan sequentially in-process — the
-    bit-identity reference the tests and the ``serve_throughput``
-    gate compare against.
+    bit-identity reference the tests and the ``farm_serve`` entry of
+    ``tools/bench_report.py`` compare against.
     """
     from repro.serve import ShardedNodeFarm
 

@@ -4,10 +4,10 @@ Runs :func:`repro.dse.run_dse` over the paper's U-Net de-blending
 problem in all three modes (random / grid / adaptive), asserts the
 determinism contract (a seeded rerun of each mode reproduces the
 Pareto front byte for byte), and renders the adaptive front as a
-paper-style table.  The harness also checks that the recommended
-configuration reproduces the deployed design: the layer-based
-``<16,x>`` strategy, fitting the Arria 10 under the corrected resource
-model, inside the 3 ms budget.
+paper-style table.  The harness also checks that the adaptive front is
+non-empty and that the recommended configuration reproduces the
+deployed design: the layer-based ``<16,x>`` strategy, fitting the
+Arria 10 under the corrected resource model, inside the 3 ms budget.
 
 The converted-model cache in :mod:`repro.experiments.common` is sized
 up for the sweep and its hit/miss counters are folded into a
@@ -58,9 +58,12 @@ def run(fast: bool = False) -> ExperimentResult:
 
     adaptive = results["adaptive"]
     rec = adaptive.recommended
-    if rec is None:
+    if not adaptive.front or rec is None:
         raise AssertionError("adaptive DSE found no feasible design for "
                              "the paper's U-Net problem")
+    if not rec.fits:
+        raise AssertionError("adaptive DSE recommended a design that does "
+                             "not fit the Arria-10 resource model")
     if rec.candidate.strategy != "layer-based":
         raise AssertionError(
             f"recommended strategy {rec.candidate.strategy!r}; the paper "

@@ -16,8 +16,8 @@ determinism across executors**.  The same seeded episode is driven
 and every run must produce the identical :class:`FrameRecord` stream,
 word for word — while the quantized MLP controller actually stabilises
 the pole.  Any divergence (or a dropped pole on the reference
-executor) raises — this harness is the CI smoke behind the
-``cartpole_closedloop`` benchmark in ``tools/bench_report.py``.
+executor) raises.  CI's ``harness-smoke`` job runs it as the check of
+the closed loop; ``perfbench``'s ``cartpole_ticks`` workload times it.
 """
 
 from __future__ import annotations

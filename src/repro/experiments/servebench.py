@@ -14,7 +14,8 @@ protection: **bit-exact determinism**.  The same frame block is served
 
 and every run must produce the identical :class:`FrameRecord` stream,
 word for word.  Any divergence raises — this harness is the CI smoke
-for the ``serve_throughput`` gate in ``tools/bench_report.py``.
+for the ``farm_serve`` entry of ``tools/bench_report.py``, which
+aborts when its 4-worker pool diverges from the reference.
 """
 
 from __future__ import annotations
@@ -103,7 +104,7 @@ def run(fast: bool = False) -> ExperimentResult:
         f"{obs.get('meta', {}).get('merged_shards')} shard snapshots, "
         f"frames.total={obs.get('metrics', {}).get('counters', {}).get('frames.total')}",
         "pool throughput includes replica build + spawn startup; at "
-        "benchmark scale see serve_throughput in tools/bench_report.py",
+        "benchmark scale see serve_pool4 in tools/bench_report.py",
     ]
     if divergent:
         raise AssertionError(

@@ -216,8 +216,9 @@ class PlantSession(ABC):
         self.apply(machine)
 
     def step_output(self, output: np.ndarray) -> None:
-        """Feed one raw (dequantized) model output back — the board-level
-        loop, with no runtime/controller in between."""
+        """Feed one raw (dequantized) model output back — the
+        model-level loop ``repro.dse.score.plant_problem`` scores, with
+        no runtime/controller in between."""
         self.apply(self.plant.action_from_output(output))
 
     @abstractmethod

@@ -31,7 +31,7 @@ Layering (bottom up):
   transport: :class:`HostAgent` processes run tasks for pool links on
   other machines, with partition-aware recovery,
 * :mod:`repro.serve.replay` — seeded bursty traffic-replay load
-  generation (deterministic admission simulation + live driver).
+  generation and its deterministic admission simulation.
 
 See docs/serving.md for the architecture and the determinism contract;
 ``repro.core.api`` exposes the :func:`~repro.core.api.build_farm` /
@@ -45,6 +45,7 @@ from repro.serve.daemon import (
     DaemonReport,
     ServingDaemon,
     StreamIngress,
+    drive_streams,
     serve_streams_reference,
 )
 from repro.serve.farm import FarmPlan, FarmResult, ShardedNodeFarm
@@ -53,10 +54,8 @@ from repro.serve.merge import merge_metrics_snapshots, merge_obs_snapshots
 from repro.serve.protocol import MessageDecoder, MsgKind, ProtocolError, StreamClient
 from repro.serve.replay import (
     BurstModel,
-    ReplayReport,
     ReplaySchedule,
     ReplaySim,
-    replay_streams,
     simulate_admission,
     synth_schedule,
 )
@@ -104,6 +103,7 @@ __all__ = [
     "DaemonReport",
     "StreamIngress",
     "serve_streams_reference",
+    "drive_streams",
     "MessageDecoder",
     "MsgKind",
     "ProtocolError",
@@ -114,10 +114,8 @@ __all__ = [
     "BurstModel",
     "ReplaySchedule",
     "ReplaySim",
-    "ReplayReport",
     "synth_schedule",
     "simulate_admission",
-    "replay_streams",
 ]
 
 # repro.serve.remote doubles as the host-agent entry point

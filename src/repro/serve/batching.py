@@ -63,9 +63,11 @@ class BatchingPolicy:
     def __post_init__(self):
         if self.max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
-        if self.slack_s < 0:
+        # ``not x >= 0`` also refuses NaN, which would switch the
+        # deadline rule off; ``inf`` keeps its meaning (no deadline).
+        if not self.slack_s >= 0:
             raise ValueError(f"slack_s must be >= 0, got {self.slack_s}")
-        if self.est_cost_per_frame_s < 0:
+        if not self.est_cost_per_frame_s >= 0:
             raise ValueError(f"est_cost_per_frame_s must be >= 0, "
                              f"got {self.est_cost_per_frame_s}")
 

@@ -49,6 +49,7 @@ from __future__ import annotations
 import asyncio
 import socket
 import threading
+import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Mapping, Optional, Tuple
@@ -80,6 +81,7 @@ from repro.serve.protocol import (
     unpack_hello,
 )
 from repro.serve.workers import (
+    OUTPUT_COLUMNS,
     BlockHandle,
     FarmSpec,
     Pool,
@@ -97,6 +99,7 @@ __all__ = [
     "DaemonReport",
     "ReferenceStream",
     "serve_streams_reference",
+    "drive_streams",
 ]
 
 #: While batches wait on the pool, the loop pumps it at least this often
@@ -799,3 +802,43 @@ def serve_streams_reference(spec: FarmSpec,
         out[sid] = ReferenceStream(records=result.records, rows=result.rows,
                                    batches=plan, health=result.health)
     return out
+
+
+def drive_streams(handle: DaemonHandle,
+                  stream_frames: Mapping[int, np.ndarray], *,
+                  timeout_s: float = 600.0,
+                  ) -> Tuple[Dict[int, np.ndarray], Dict[int, List[int]],
+                             float]:
+    """Feed interleaved client streams through a live daemon.
+
+    Opens one client per stream id of *stream_frames*, sends one frame
+    per stream per pass and pumps each socket after its send, so every
+    stream advances in lock-step from one thread; then finishes every
+    stream.  Returns ``(rows, shed, wall_s)``: each stream's result rows
+    in sequence order (the accepted frames only, so they equal
+    :func:`serve_streams_reference` over those frames), each stream's
+    shed sequence numbers, and the wall seconds from the first connect
+    to the last result.
+    """
+    clients: Dict[int, StreamClient] = {}
+    t0 = time.perf_counter()
+    try:
+        for sid in stream_frames:
+            clients[sid] = handle.client(stream_id=sid)
+        longest = max(map(len, stream_frames.values()), default=0)
+        for i in range(longest):
+            for sid, frames in stream_frames.items():
+                if i < len(frames):
+                    clients[sid].send(frames[i])
+                clients[sid].pump()
+        for client in clients.values():
+            client.finish(timeout_s=timeout_s)
+        wall_s = time.perf_counter() - t0
+    finally:
+        for client in clients.values():
+            client.close()
+    rows = {sid: np.array([c.results[seq] for seq in sorted(c.results)],
+                          dtype=np.float64).reshape(-1, len(OUTPUT_COLUMNS))
+            for sid, c in clients.items()}
+    shed = {sid: sorted(c.shed) for sid, c in clients.items()}
+    return rows, shed, wall_s

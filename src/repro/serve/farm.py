@@ -14,7 +14,7 @@ either
   task requeue.
 
 The determinism contract (asserted by ``tests/test_serve.py`` and the
-``serve_throughput`` gate in ``tools/bench_report.py``): both execution
+``farm_serve`` entry of ``tools/bench_report.py``): both execution
 modes produce **bit-identical** :class:`FrameRecord` streams for every
 worker count, because
 

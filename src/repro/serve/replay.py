@@ -20,10 +20,10 @@ module synthesises that load on the simulated clock:
    batch slots, affine batch cost).  The event loop is pure
    arithmetic: same schedule + same knobs → same accepted sets, same
    shed decisions, same simulated queueing latencies.
-3. :func:`replay_streams` then drives the *accepted* frame sequences
-   through a live :class:`~repro.serve.daemon.DaemonHandle` over real
-   sockets (or any farm/host pool via its serve path) to measure wall
-   throughput, while the per-frame node latencies it reports stay
+3. :func:`accepted_frames` cuts each stream down to the frames it
+   admitted, ready for :func:`~repro.serve.daemon.drive_streams` to
+   feed through a live daemon over real sockets.  Wall throughput is
+   measured there, while the per-frame node latencies stay
    deterministic (they come from the simulated board clock inside the
    records, never from wall time).
 
@@ -36,8 +36,8 @@ real execution path those decisions feed.
 from __future__ import annotations
 
 import heapq
-import time
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -51,11 +51,9 @@ __all__ = [
     "ReplaySchedule",
     "StreamSim",
     "ReplaySim",
-    "ReplayReport",
     "synth_schedule",
     "simulate_admission",
     "accepted_frames",
-    "replay_streams",
 ]
 
 #: Spawn-key tag namespacing replay RNG streams away from the serving
@@ -78,13 +76,14 @@ class BurstModel:
     gap_mean_s: float = 4 * FRAME_PERIOD_S
 
     def __post_init__(self):
-        if self.period_s <= 0:
-            raise ValueError(f"period_s must be > 0, got {self.period_s}")
-        if self.burst_mean < 1:
+        if not (math.isfinite(self.period_s) and self.period_s > 0):
+            raise ValueError(f"period_s must be finite and > 0, "
+                             f"got {self.period_s}")
+        if not self.burst_mean >= 1:        # NaN fails; inf is allowed
             raise ValueError(f"burst_mean must be >= 1, "
                              f"got {self.burst_mean}")
-        if self.gap_mean_s < 0:
-            raise ValueError(f"gap_mean_s must be >= 0, "
+        if not (math.isfinite(self.gap_mean_s) and self.gap_mean_s >= 0):
+            raise ValueError(f"gap_mean_s must be finite and >= 0, "
                              f"got {self.gap_mean_s}")
 
 
@@ -127,8 +126,11 @@ def synth_schedule(n_streams: int, frames_per_stream: int, *,
         t = float(rng.exponential(model.gap_mean_s)) if model.gap_mean_s \
             else 0.0
         while len(times) < frames_per_stream:
-            burst = int(rng.geometric(1.0 / model.burst_mean)) \
-                if model.burst_mean > 1 else 1
+            if math.isinf(model.burst_mean):    # one steady burst
+                burst = frames_per_stream
+            else:
+                burst = int(rng.geometric(1.0 / model.burst_mean)) \
+                    if model.burst_mean > 1 else 1
             for i in range(burst):
                 if len(times) >= frames_per_stream:
                     break
@@ -336,91 +338,3 @@ def accepted_frames(sim: ReplaySim,
         out[s] = frames[np.asarray(ssim.accepted, dtype=np.intp)] \
             if ssim.accepted else frames[:0]
     return out
-
-
-# ----------------------------------------------------------------------
-# Live replay against a running daemon
-# ----------------------------------------------------------------------
-@dataclass
-class ReplayReport:
-    """What one live replay run measured (plus the deterministic part)."""
-
-    sim: ReplaySim
-    wall_s: float
-    frames_executed: int
-    rows: Dict[int, Dict[int, np.ndarray]]      # stream -> seq -> row
-    node_latency_s: Dict[int, np.ndarray]       # stream -> per-frame
-
-    @property
-    def aggregate_fps(self) -> float:
-        return self.frames_executed / self.wall_s if self.wall_s > 0 \
-            else 0.0
-
-    def node_p(self, stream: int, q: float) -> float:
-        lat = self.node_latency_s[stream]
-        return float(np.percentile(lat, q)) if len(lat) else 0.0
-
-    def worst_node_p99_ms(self) -> float:
-        return max((self.node_p(s, 99) for s in self.node_latency_s),
-                   default=0.0) * 1e3
-
-
-def replay_streams(handle, sim: ReplaySim,
-                   stream_frames: Sequence[np.ndarray], *,
-                   chunk: int = 8,
-                   timeout_s: float = 300.0) -> ReplayReport:
-    """Drive the admitted frames through a live daemon, interleaved.
-
-    *handle* is a started :class:`~repro.serve.daemon.DaemonHandle`
-    whose ``queue_limit`` is large enough to admit every frame the
-    simulation already admitted (the deterministic shed decisions were
-    made by :func:`simulate_admission`; a second, racy shed here would
-    break the contract, so any daemon-side shed raises).
-    """
-    from repro.serve.workers import OUTPUT_COLUMNS
-
-    node_col = OUTPUT_COLUMNS.index("node_latency_s")
-    admitted = accepted_frames(sim, stream_frames)
-    clients = {}
-    t0 = time.perf_counter()
-    try:
-        for s in sorted(admitted):
-            clients[s] = handle.client(stream_id=s)
-        live = {s: 0 for s in clients}
-        while live:
-            for s in list(live):
-                client, frames = clients[s], admitted[s]
-                sent = live[s]
-                stop = min(sent + chunk, len(frames))
-                for i in range(sent, stop):
-                    client.send(frames[i])
-                client.pump()
-                if stop >= len(frames):
-                    del live[s]
-                else:
-                    live[s] = stop
-        for s, client in clients.items():
-            client.finish(timeout_s=timeout_s)
-        wall = time.perf_counter() - t0
-        for s, client in clients.items():
-            if client.shed:
-                raise AssertionError(
-                    f"stream {s}: daemon shed {len(client.shed)} frames "
-                    f"the simulation admitted — raise the daemon's "
-                    f"queue_limit to keep replay deterministic")
-        rows = {s: dict(clients[s].results) for s in clients}
-        node = {
-            s: np.array([rows[s][i][node_col]
-                         for i in range(len(admitted[s]))])
-            for s in clients
-        }
-    finally:
-        for client in clients.values():
-            client.close()
-    return ReplayReport(
-        sim=sim,
-        wall_s=wall,
-        frames_executed=sum(len(f) for f in admitted.values()),
-        rows=rows,
-        node_latency_s=node,
-    )

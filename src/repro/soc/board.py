@@ -342,37 +342,20 @@ class AchillesBoard:
         return self.ip.dequantize_output(raw)
 
     # ------------------------------------------------------------------
-    def run(self, frames: Optional[np.ndarray] = None, seed: SeedLike = 0,
+    def run(self, frames: np.ndarray, seed: SeedLike = 0,
             paced: bool = False,
-            period_s: float = FRAME_PERIOD_S, *,
-            session=None, n_frames: Optional[int] = None) -> SystemRunResult:
+            period_s: float = FRAME_PERIOD_S) -> SystemRunResult:
         """Process a batch of frames functionally.
 
         ``paced=True`` aligns each frame's start to the 3 ms digitizer
         grid (deployment mode); otherwise frames run back-to-back
         (throughput-measurement mode, the paper's 575 fps figure).
-
-        Instead of *frames*, a :class:`~repro.plants.PlantSession` may
-        drive the board directly: pass ``session=`` and ``n_frames=``,
-        and each tick synthesises its frame from the session, processes
-        it, then feeds the raw model output back through
-        ``session.step_output`` before the next frame — the closed loop
-        at board level, without the runtime's hub/controller layers.
         """
-        if session is not None:
-            if frames is not None:
-                raise ValueError("pass frames or session, not both")
-            if n_frames is None or n_frames < 0:
-                raise ValueError("session runs need n_frames >= 0")
-            n = n_frames
-        else:
-            if frames is None:
-                raise ValueError("pass frames (or session + n_frames)")
-            frames = np.asarray(frames, dtype=np.float64)
-            if frames.ndim != 2:
-                raise ValueError(
-                    f"frames must be (n, n_inputs), got {frames.shape}")
-            n = frames.shape[0]
+        frames = np.asarray(frames, dtype=np.float64)
+        if frames.ndim != 2:
+            raise ValueError(
+                f"frames must be (n, n_inputs), got {frames.shape}")
+        n = frames.shape[0]
         jitters = self.jitter.sample(n, rng=seed)
         outputs = np.empty((n, self.ip.n_outputs))
         timings: List[FrameTiming] = []
@@ -384,13 +367,9 @@ class AchillesBoard:
                 tick = base + i * period_s
                 if self.sim.now < tick:
                     self.sim.advance(tick - self.sim.now)
-            frame = (frames[i] if session is None else
-                     np.asarray(session.next_frame(), dtype=np.float64))
-            timing = self.process_frame(frame, jitter_s=float(jitters[i]))
+            timing = self.process_frame(frames[i], jitter_s=float(jitters[i]))
             outputs[i] = self.last_output()
             timings.append(timing)
-            if session is not None:
-                session.step_output(outputs[i])
         return SystemRunResult(outputs=outputs, timings=timings,
                                mode="paced" if paced else "free")
 

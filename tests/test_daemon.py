@@ -37,8 +37,10 @@ from repro.obs import ObsConfig, Observability
 from repro.serve import (
     BatchingPolicy,
     FarmSpec,
+    OUTPUT_COLUMNS,
     ServingDaemon,
     StreamIngress,
+    drive_streams,
     serve_streams_reference,
 )
 from repro.serve.batching import plan_microbatches, stream_arrivals
@@ -535,6 +537,41 @@ class TestDaemonEndToEnd:
 
 
 # ----------------------------------------------------------------------
+# drive_streams: the one multi-stream client loop
+# ----------------------------------------------------------------------
+class TestDriveStreams:
+    def test_unequal_streams_match_the_reference(self, tiny_hls,
+                                                 tiny_spec):
+        stream_frames = {0: frames_for(9, seed=1), 1: frames_for(0),
+                         2: frames_for(4, seed=2)}
+        ref = serve_streams_reference(
+            tiny_spec, stream_frames, batching=BatchingPolicy(max_batch=4),
+            seed=5)
+        with launch(tiny_hls) as handle:
+            rows, shed, wall_s = drive_streams(handle, stream_frames,
+                                               timeout_s=120)
+        assert shed == {0: [], 1: [], 2: []}
+        assert wall_s > 0
+        for s, frames in stream_frames.items():
+            assert rows[s].shape == (len(frames), len(OUTPUT_COLUMNS))
+            assert np.array_equal(rows[s], ref[s].rows), f"stream {s}"
+
+    def test_sheds_are_reported_per_stream(self, tiny_hls, tiny_spec):
+        # Two frames fill the queue and no batch closes before EOS, so
+        # each stream keeps frames 0..1 and sheds the rest.
+        stream_frames = {0: frames_for(6, seed=3), 1: frames_for(3, seed=4)}
+        with launch(tiny_hls, queue_limit=2) as handle:
+            rows, shed, _ = drive_streams(handle, stream_frames,
+                                          timeout_s=120)
+        assert shed == {0: [2, 3, 4, 5], 1: [2]}
+        ref = serve_streams_reference(
+            tiny_spec, {s: f[:2] for s, f in stream_frames.items()},
+            batching=BatchingPolicy(max_batch=4), seed=5)
+        for s in stream_frames:
+            assert np.array_equal(rows[s], ref[s].rows), f"stream {s}"
+
+
+# ----------------------------------------------------------------------
 # Facade + constructor validation
 # ----------------------------------------------------------------------
 class TestDaemonFacade:
@@ -567,6 +604,7 @@ class TestDaemonFacade:
         import repro.serve as serve
         for name in ("ServingDaemon", "DaemonHandle", "DaemonReport",
                      "StreamIngress", "serve_streams_reference",
+                     "drive_streams",
                      "StreamClient", "MessageDecoder", "ProtocolError"):
             assert hasattr(serve, name), name
         from repro.core.api import __all__ as api_all

@@ -258,15 +258,6 @@ class TestCartpoleClosedLoop:
         with pytest.raises(ValueError, match="n_frames"):
             run_control_loop(cartpole_model, plant=CartpolePlant())
 
-    def test_board_level_session_run(self, cartpole, cartpole_hls):
-        board = AchillesBoard(cartpole_hls)
-        result = board.run(session=cartpole.session(4), n_frames=5)
-        assert result.outputs.shape == (5, 8)
-        with pytest.raises(ValueError, match="not both"):
-            board.run(np.zeros((2, 8)), session=cartpole.session(4))
-        with pytest.raises(ValueError, match="n_frames"):
-            board.run(session=cartpole.session(4))
-
     def test_open_loop_plant_synthesises_frames(self, beamloss_tiny_model):
         plant = BeamLossPlant(min_votes=1, **SMALL_BEAMLOSS)
         result = run_control_loop(beamloss_tiny_model, n_frames=5,

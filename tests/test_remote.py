@@ -46,6 +46,7 @@ from repro.serve.replay import (
     synth_schedule,
 )
 from repro.serve.workers import Pool, Task, WorkerCrashError
+from repro.soc.board import FRAME_PERIOD_S
 
 N_MONITORS = 16
 
@@ -404,6 +405,17 @@ class TestReplay:
             BurstModel(burst_mean=0.5)
         with pytest.raises(ValueError, match="gap_mean_s"):
             BurstModel(gap_mean_s=-1.0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="period_s"):
+                BurstModel(period_s=bad)
+            with pytest.raises(ValueError, match="gap_mean_s"):
+                BurstModel(gap_mean_s=bad)
+        with pytest.raises(ValueError, match="burst_mean"):
+            BurstModel(burst_mean=float("nan"))
+        # inf is the documented steady stream: one burst on the period.
+        steady = synth_schedule(1, 5, model=BurstModel(
+            burst_mean=float("inf"))).arrivals[0]
+        assert np.allclose(np.diff(steady), FRAME_PERIOD_S)
         with pytest.raises(ValueError, match="n_streams"):
             synth_schedule(0, 5)
         with pytest.raises(ValueError, match="frames_per_stream"):

@@ -186,6 +186,13 @@ class TestBatching:
             BatchingPolicy(slack_s=-1.0)
         with pytest.raises(ValueError):
             BatchingPolicy(est_cost_per_frame_s=-1.0)
+        # NaN would switch the deadline rule off; inf keeps its meaning.
+        with pytest.raises(ValueError, match="slack_s"):
+            BatchingPolicy(slack_s=float("nan"))
+        with pytest.raises(ValueError, match="est_cost_per_frame_s"):
+            BatchingPolicy(est_cost_per_frame_s=float("nan"))
+        BatchingPolicy(slack_s=float("inf"))
+        BatchingPolicy(est_cost_per_frame_s=float("inf"))
 
 
 # ----------------------------------------------------------------------
@@ -825,14 +832,15 @@ class TestTaskResume:
 def test_removed_serving_names_fail_loudly():
     import repro.serve as serve
     import repro.serve.remote as remote
+    import repro.serve.replay as replay
     import repro.serve.workers as workers
 
     gone = ("ShardTask", "PlantTask", "StreamTask", "StreamFinish",
             "execute_shard_task", "execute_plant_task",
             "execute_stream_task", "finish_stream", "localize_shard_task",
-            "WorkerPool", "HostPool")
+            "WorkerPool", "HostPool", "ReplayReport", "replay_streams")
     for name in gone:
-        for module in (serve, workers, remote):
+        for module in (serve, workers, remote, replay):
             assert not hasattr(module, name), f"{module.__name__}.{name}"
         with pytest.raises(ImportError):
             exec(f"from repro.serve import {name}", {})

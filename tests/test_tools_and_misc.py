@@ -1,6 +1,6 @@
 """Tests for auxiliary pieces: the Cyclone V bring-up stage, the
-calibration tool, pretrained-bundle error handling, and full-model
-codegen."""
+calibration tool, the benchmark report's gate table, pretrained-bundle
+error handling, and full-model codegen."""
 
 import json
 
@@ -35,6 +35,72 @@ class TestCalibrationTool:
         worst = float(out.rsplit("worst relative error:", 1)[1]
                       .strip().rstrip("%"))
         assert worst < 50.0  # no anchor drifts past 50 %
+
+
+def _gate_report(bench_report, nudge):
+    """A synthetic report with every gated figure at its bound, moved by
+    ``nudge(gate name)`` to the passing side (> 0) or the failing side
+    (< 0).  Baseline fps is 100 for every gated benchmark."""
+    report = {"benchmarks": {}}
+    for name, keys, bound, direction in bench_report.GATES:
+        node = report
+        for key in keys[:-1]:
+            node = node.setdefault(key, {})
+        sign = 1.0 if direction == "min" else -1.0
+        node[keys[-1]] = bound + sign * nudge(name)
+    for name in bench_report.GATED_BENCHMARKS:
+        ratio = bench_report.REGRESSION_FLOOR + nudge(f"{name}_vs_baseline")
+        report["benchmarks"][name] = {"fps": 100.0 * ratio}
+    return report
+
+
+class TestBenchReportGates:
+    BASELINE = {"benchmarks": {"runtime_batched": {"fps": 100.0},
+                               "runtime_compiled": {"fps": 100.0}}}
+
+    def test_bounds_keep_their_values(self):
+        import tools.bench_report as bench_report
+
+        assert bench_report.REGRESSION_FLOOR == 0.8
+        assert bench_report.GATED_BENCHMARKS == ("runtime_batched",
+                                                 "runtime_compiled")
+        assert {name: (bound, direction) for name, _, bound, direction
+                in bench_report.GATES} == {
+            "obs_overhead": (0.9, "min"),
+            "chaos_speculation": (1.5, "min"),
+            "daemon_node_p99_ms": (3.0, "max"),
+            "daemon_steady": (1.0, "min"),
+            "serve_remote": (0.9, "min"),
+        }
+
+    def test_a_value_just_past_each_bound_fails(self, capsys):
+        import tools.bench_report as bench_report
+
+        eps = 1e-9
+        inside = _gate_report(bench_report, lambda name: eps)
+        table = bench_report.gate_table(inside, self.BASELINE)
+        names = [gate.name for gate in table]
+        assert names == [g[0] for g in bench_report.GATES] + [
+            "runtime_batched_vs_baseline", "runtime_compiled_vs_baseline"]
+        assert all(gate.ok for gate in table)
+        assert bench_report.check_gates(table)
+        assert len(bench_report.gate_table(inside)) == len(
+            bench_report.GATES)
+        for failing in names:
+            report = _gate_report(
+                bench_report, lambda name: -eps if name == failing else eps)
+            table = bench_report.gate_table(report, self.BASELINE)
+            assert [g.name for g in table if not g.ok] == [failing]
+            assert not bench_report.check_gates(table)
+        out = capsys.readouterr()
+        assert out.out.count("FAIL") == len(names)
+        assert "gates failed" in out.err
+
+    def test_nan_fails_either_direction(self):
+        from tools.bench_report import Gate
+
+        assert not Gate("x", float("nan"), 1.0, "min").ok
+        assert not Gate("x", float("nan"), 1.0, "max").ok
 
 
 class TestPretrainedErrors:
