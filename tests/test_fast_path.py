@@ -331,6 +331,44 @@ class TestSeedDerivation:
         assert derive_stream_seeds(6, 0) != derive_stream_seeds(6, 20)
         assert derive_stream_seeds(6, 0) != derive_stream_seeds(7, 0)
 
+    @staticmethod
+    def _reference_seeds(seed, start):
+        """The derivation as first written: two ``integers(0, 2**62)``
+        draws of a generator seeded by the spawned child sequence."""
+        if isinstance(seed, np.random.Generator):
+            rng = seed
+        else:
+            if isinstance(seed, np.random.SeedSequence):
+                child = np.random.SeedSequence(
+                    entropy=seed.entropy,
+                    spawn_key=tuple(seed.spawn_key) + (start,))
+            else:
+                child = np.random.SeedSequence(entropy=seed,
+                                               spawn_key=(start,))
+            rng = np.random.default_rng(child)
+        return int(rng.integers(0, 2**62)), int(rng.integers(0, 2**62))
+
+    @pytest.mark.parametrize("start", [0, 1, 2, 17, 499, 10**6, 2**40])
+    def test_derivation_pinned_to_reference(self, start):
+        """Every seed kind derives the pair the reference formula does,
+        so a faster derivation cannot move a record."""
+        for seed in (0, 5, 6, 2**31 - 1, 2**63 + 12345):
+            assert derive_stream_seeds(seed, start) == \
+                self._reference_seeds(seed, start)
+        for seq in (np.random.SeedSequence(9),
+                    np.random.SeedSequence(9).spawn(3)[2],
+                    np.random.SeedSequence([1, 2, 3], spawn_key=(4,))):
+            assert derive_stream_seeds(seq, start) == \
+                self._reference_seeds(seq, start)
+        mine, ref = np.random.default_rng(start), np.random.default_rng(start)
+        for _ in range(3):  # the caller's generator advances alike
+            assert derive_stream_seeds(mine, start) == \
+                self._reference_seeds(ref, start)
+
+    def test_derivation_pinned_values(self):
+        assert derive_stream_seeds(6, 0) == (3729470044915877167,
+                                             920942939802445272)
+
     def test_generator_is_consumed_directly(self):
         g1 = np.random.default_rng(5)
         first = derive_stream_seeds(g1, 0)

@@ -56,7 +56,12 @@ from repro.soc.faults import (
 )
 
 from tools.golden_records import OUT_PATH as GOLDEN_PATH
-from tools.golden_records import capture, serialize_records
+from tools.golden_records import (
+    CARTPOLE_PATH,
+    capture,
+    cartpole_episode,
+    serialize_records,
+)
 
 #: A small beam-loss geometry (16 monitors, matching the conftest
 #: ``tiny_model``) so conformance tests never touch the big reference
@@ -120,6 +125,24 @@ class TestGoldenBeamLoss:
 
     def test_farm_outputs_bit_identical(self, golden, current):
         assert current["farm_outputs"] == golden["farm_outputs"]
+
+
+class TestGoldenCartpole:
+    """Replay the recorded one-frame-per-tick cartpole episodes byte for
+    byte.  The compiled ≡ naive checks cannot catch a change to the seed
+    derivation, the draw streams or the per-frame ladder, which both
+    executors share; this fixture (``tests/data/golden_cartpole.json``)
+    does not move with them."""
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return json.loads(CARTPOLE_PATH.read_text())
+
+    @pytest.mark.parametrize("level", [0, 2])
+    @pytest.mark.parametrize("scenario", ["clean", "faulted"])
+    def test_episode_bit_identical(self, golden, level, scenario):
+        episode = cartpole_episode(level, faulted=scenario == "faulted")
+        assert episode == golden[scenario]
 
 
 # ----------------------------------------------------------------------

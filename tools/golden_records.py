@@ -1,4 +1,4 @@
-"""Golden beam-loss run records for behavior-preservation tests.
+"""Golden run records for behavior-preservation tests.
 
 The `repro.plants` refactor moved the beam-loss data substrate behind
 the :class:`~repro.plants.BeamLossPlant` interface.  The refactor claims
@@ -9,18 +9,29 @@ records *on the pre-refactor tree* and wrote them to
 the same three scenarios through the current code and compares the
 serialized streams byte for byte.
 
+A second fixture, ``tests/data/golden_cartpole.json``, pins the
+one-frame tick path: two seeded closed-loop cartpole episodes, one clean
+and one under a fault schedule, captured before the tick path's fixed
+per-call cost was cut.  ``tests/test_plants.py`` replays them at compile
+levels 0 and 2.  Unlike the compiled ≡ naive tests, a golden file does
+not move when a change shifts both executors at once (seed derivation,
+the draw streams, the per-frame ladder).
+
 Floats are serialized with ``float.hex()`` so the comparison is exact
 (no repr rounding, no JSON float round-trip ambiguity).
 
 Usage (only needed to regenerate after an *intentional* behavior
 change — never to paper over an accidental one)::
 
-    PYTHONPATH=src python tools/golden_records.py
+    PYTHONPATH=src python tools/golden_records.py            # beam loss
+    PYTHONPATH=src python tools/golden_records.py cartpole   # cartpole
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import sys
 from pathlib import Path
 
 #: Frame-block length.  Small enough to keep the fixture and the replay
@@ -35,6 +46,13 @@ SEED = 7
 
 OUT_PATH = Path(__file__).resolve().parent.parent / "tests" / "data" / \
     "golden_beamloss.json"
+
+#: Cartpole episode length, session seed and runtime seed.
+CARTPOLE_TICKS = 300
+CARTPOLE_SESSION_SEED = 3
+CARTPOLE_SEED = 11
+
+CARTPOLE_PATH = OUT_PATH.with_name("golden_cartpole.json")
 
 
 def _hex(x: float) -> str:
@@ -113,7 +131,93 @@ def capture() -> dict:
     }
 
 
-def main() -> int:
+def _cartpole_injector():
+    """Every fault class the 8-monitor, 2-hub cartpole layout can take."""
+    from repro.soc.faults import (
+        ACNETFault,
+        FaultInjector,
+        HubDelayFault,
+        HubDropFault,
+        IPHangFault,
+        LostIRQFault,
+        NoisyMonitorFault,
+        SEUFault,
+        StuckMonitorFault,
+    )
+
+    return FaultInjector([
+        # frame 0 has no last-known-good slice yet; six straight drops
+        # outlast the staleness limit
+        HubDropFault(hub=0, start=0, stop=1),
+        HubDropFault(hub=1, start=150, stop=156),
+        HubDropFault(rate=0.06),
+        HubDelayFault(rate=0.04, delay_s=4e-3),
+        StuckMonitorFault(monitor=5, value=0.25, rate=0.03),
+        NoisyMonitorFault(monitor=2, sigma=0.5, rate=0.04),
+        IPHangFault(rate=0.02),
+        LostIRQFault(rate=0.02),
+        SEUFault(rate=0.03, ram="output", bit=12),
+        ACNETFault(rate=0.04, failures=2),
+    ], seed=CARTPOLE_SEED)
+
+
+def cartpole_episode(compile_level: int, faulted: bool) -> dict:
+    """One seeded cartpole episode at *compile_level*, serialized."""
+    from repro.core.api import RuntimeConfig, build_runtime
+    from repro.plants import CartpolePlant, run_closed_loop
+
+    plant = CartpolePlant()
+    runtime = build_runtime(
+        plant.default_model(), plant=plant,
+        config=RuntimeConfig(compile_level=compile_level),
+        injector=_cartpole_injector() if faulted else None)
+    session = plant.session(CARTPOLE_SESSION_SEED)
+    frames = hashlib.sha1()
+    next_frame = session.next_frame
+
+    def recorded_frame():
+        frame = next_frame()
+        frames.update(frame.tobytes())
+        return frame
+
+    session.next_frame = recorded_frame
+    records = run_closed_loop(runtime, session, CARTPOLE_TICKS,
+                              seed=CARTPOLE_SEED)
+    return {
+        "records": serialize_records(records),
+        "frames_sha1": frames.hexdigest(),
+        "failures": int(session.failures),
+        "final_state": [_hex(v) for v in session.state],
+    }
+
+
+def capture_cartpole(compile_level: int = 0) -> dict:
+    """The clean and the faulted cartpole episodes."""
+    return {
+        "meta": {
+            "ticks": CARTPOLE_TICKS,
+            "session_seed": CARTPOLE_SESSION_SEED,
+            "seed": CARTPOLE_SEED,
+            "compile_level": compile_level,
+        },
+        "clean": cartpole_episode(compile_level, faulted=False),
+        "faulted": cartpole_episode(compile_level, faulted=True),
+    }
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv == ["cartpole"]:
+        golden = capture_cartpole()
+        CARTPOLE_PATH.write_text(
+            json.dumps(golden, separators=(",", ":")) + "\n")
+        print(f"wrote {CARTPOLE_PATH} "
+              f"({len(golden['clean']['records'])} clean records, "
+              f"{len(golden['faulted']['records'])} faulted)")
+        return 0
+    if argv:
+        print("usage: golden_records.py [cartpole]", file=sys.stderr)
+        return 2
     golden = capture()
     OUT_PATH.parent.mkdir(parents=True, exist_ok=True)
     OUT_PATH.write_text(json.dumps(golden, indent=1) + "\n")
