@@ -98,10 +98,12 @@ class TripController:
             )
         probs = output.reshape(-1, n_machines)  # (monitors, machines)
         votes = probs > self.probability_threshold
-        vote_counts = votes.sum(axis=0)
-        masses = np.where(votes, probs, 0.0).sum(axis=0)
-        winner = int(np.argmax(masses))
-        if vote_counts[winner] >= self.min_votes:
+        # Each machine's mass adds its voting monitors in monitor order,
+        # exactly as summing the vote-masked column would: a skipped
+        # term is a 0.0, and adding 0.0 is exact.
+        masses = np.add.reduce(probs, axis=0, where=votes)
+        winner = int(masses.argmax())
+        if np.count_nonzero(votes[:, winner]) >= self.min_votes:
             machine = self.machine_names[winner]
             score = float(masses[winner])
         else:

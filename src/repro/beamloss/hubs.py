@@ -10,6 +10,7 @@ here feeds the SoC simulator's step-0 timing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -30,7 +31,7 @@ class HubNetwork:
         Defaults match the facility (260 monitors, 7 hubs).
     mean_latency_s / jitter_s:
         Per-hub Ethernet forwarding latency model (mean + half-normal
-        jitter), used by :meth:`arrival_times`.
+        jitter), used by :meth:`arrival_times`; finite and non-negative.
     """
 
     n_monitors: int = 260
@@ -43,8 +44,11 @@ class HubNetwork:
             raise ValueError("n_hubs and n_monitors must be positive")
         if self.n_hubs > self.n_monitors:
             raise ValueError("more hubs than monitors")
-        if self.mean_latency_s < 0 or self.jitter_s < 0:
-            raise ValueError("latencies must be non-negative")
+        for name in ("mean_latency_s", "jitter_s"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"{name} must be finite and >= 0, got {value}")
 
     def spans(self) -> List[Tuple[int, int]]:
         """Half-open monitor index ranges ``[(start, stop), ...]`` per hub.

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 
 
 class Rounding(enum.Enum):
@@ -94,12 +95,12 @@ class FixedPointFormat:
         """Number of fractional bits ``F = W - I`` (may be negative)."""
         return self.width - self.integer
 
-    @property
+    @cached_property
     def lsb(self) -> float:
         """The quantum: value of one least-significant bit, ``2**-F``."""
         return 2.0 ** (-self.fractional)
 
-    @property
+    @cached_property
     def raw_min(self) -> int:
         """Smallest raw (scaled-integer) value."""
         if not self.signed:
@@ -108,19 +109,19 @@ class FixedPointFormat:
             return -(2 ** (self.width - 1) - 1)
         return -(2 ** (self.width - 1))
 
-    @property
+    @cached_property
     def raw_max(self) -> int:
         """Largest raw (scaled-integer) value."""
         if self.signed:
             return 2 ** (self.width - 1) - 1
         return 2**self.width - 1
 
-    @property
+    @cached_property
     def min_value(self) -> float:
         """Smallest representable real value."""
         return self.raw_min * self.lsb
 
-    @property
+    @cached_property
     def max_value(self) -> float:
         """Largest representable real value."""
         return self.raw_max * self.lsb

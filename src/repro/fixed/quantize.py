@@ -100,6 +100,19 @@ def _scale_guard_round_inplace(scaled: np.ndarray,
     _round_inplace(scaled, fmt.rounding)
 
 
+def _within_range(values: np.ndarray, fmt: FixedPointFormat) -> bool:
+    """Whether every value lies inside *fmt*'s representable range, on a
+    format whose raw bounds are exact floats (NaN and infinities never
+    do).  Rounding then lands every value on an in-range raw word, so
+    the overflow stage and the int64 round trip are the identity and
+    scale → round (→ unscale) alone is the whole conversion.  Two
+    reductions, where the full pipeline makes several passes."""
+    if fmt.raw_max > _FLOAT_EXACT_INT or -fmt.raw_min > _FLOAT_EXACT_INT:
+        return False
+    return bool(values.min(initial=np.inf) >= fmt.min_value
+                and values.max(initial=-np.inf) <= fmt.max_value)
+
+
 def to_raw(values: np.ndarray, fmt: FixedPointFormat,
            out: Optional[np.ndarray] = None) -> np.ndarray:
     """Quantize float *values* to the raw scaled-integer representation.
@@ -113,12 +126,16 @@ def to_raw(values: np.ndarray, fmt: FixedPointFormat,
     through would corrupt the wraparound arithmetic silently.
     """
     arr = np.asarray(values, dtype=np.float64)
-    if not np.isfinite(arr).all():
+    in_range = _within_range(arr, fmt)
+    if not in_range and not np.isfinite(arr).all():
         raise ValueError("cannot quantize non-finite values")
     # asarray keeps 0-d results as ndarrays so the in-place stages work
     # for scalar inputs too.
     scaled = np.asarray(np.divide(arr, fmt.lsb))
-    _scale_guard_round_inplace(scaled, fmt)
+    if in_range:
+        _round_inplace(scaled, fmt.rounding)
+    else:
+        _scale_guard_round_inplace(scaled, fmt)
     if out is None:
         raw = scaled.astype(np.int64)
     else:
@@ -129,7 +146,8 @@ def to_raw(values: np.ndarray, fmt: FixedPointFormat,
             )
         np.copyto(out, scaled, casting="unsafe")
         raw = out
-    _overflow_inplace(raw, fmt)
+    if not in_range:
+        _overflow_inplace(raw, fmt)
     return raw
 
 
@@ -165,9 +183,14 @@ def quantize_(values: np.ndarray, fmt: FixedPointFormat,
     if not isinstance(values, np.ndarray) or values.dtype != np.float64:
         raise TypeError("quantize_ needs a float64 ndarray "
                         f"(got {type(values).__name__})")
-    if not np.isfinite(values).all():
+    in_range = _within_range(values, fmt)
+    if not in_range and not np.isfinite(values).all():
         raise ValueError("cannot quantize non-finite values")
     np.divide(values, fmt.lsb, out=values)
+    if in_range:
+        _round_inplace(values, fmt.rounding)
+        np.multiply(values, fmt.lsb, out=values)
+        return values
     if (fmt.overflow is not Overflow.WRAP
             and fmt.raw_max <= _FLOAT_EXACT_INT
             and -fmt.raw_min <= _FLOAT_EXACT_INT):

@@ -292,7 +292,7 @@ class _Step:
                  dtype=np.float64, zero: bool = False) -> np.ndarray:
         """The first *n* frames of a persistent buffer sized, like the
         arena, by the largest batch seen (not one per batch size)."""
-        key = (tag, np.dtype(dtype).char)
+        key = (tag, dtype)
         buf = self._scr.get(key)
         if buf is None or buf.shape[0] < n or buf.shape[1:] != shape:
             buf = (np.zeros if zero else np.empty)((n,) + tuple(shape), dtype)
@@ -593,13 +593,22 @@ class _MACStep(_Step):
             np.copyto(ri, acc, casting="unsafe")
             if not self.idx_folded:
                 ri -= fmt.raw_min
+            # With out=, take's default mode="raise" gathers into a
+            # temporary copy of dst and copies it back.  Where the
+            # overflow op has just bounded the index, "wrap" is the
+            # identity on it and writes dst directly; where only the
+            # compile-time bound stands behind it, the check stays.
             if self.overflow is Overflow.WRAP:
                 # Power-of-2 span: the AND on the origin-shifted word is
                 # the wrap *and* the index clamp in one pass.
                 ri &= (1 << fmt.width) - 1
+                mode = "wrap"
             elif self.overflow is not None:
                 np.clip(ri, 0, fmt.raw_max - fmt.raw_min, out=ri)
-            np.take(self.act_table, ri, out=dst)
+                mode = "wrap"
+            else:
+                mode = "raise"
+            self.act_table.take(ri, out=dst, mode=mode)
             return buf
         if self.overflow is None:
             np.multiply(acc, fmt.lsb, out=dst)
@@ -755,6 +764,21 @@ class CompiledPlan:
         self._arena: Optional[np.ndarray] = None
         self._capacity = 0
         self._views: Dict[int, Dict[str, np.ndarray]] = {}
+        # What run() walks: each step with its operand fetches and the
+        # streams that die after it.  The live-stream counts are a static
+        # property of that schedule, so they are counted here once.
+        self._schedule = list(zip(self.steps, self._in_rows,
+                                  self._dies_after))
+        self._peak_live = self._freed = live = 0
+        for dies in self._dies_after:
+            live += 1
+            self._peak_live = max(self._peak_live, live)
+            live -= len(dies)
+            self._freed += len(dies)
+        last = self.steps[-1]
+        # arena-backed (or a view of an arena slot): run() hands the
+        # caller an owned copy so the next run cannot mutate it.
+        self._copy_out = last.name in self._slots or last.aliases_input
 
     # -- planning ------------------------------------------------------
     def _plan_liveness(self) -> List[List[str]]:
@@ -871,21 +895,16 @@ class CompiledPlan:
         wall-clock span named ``step.<name>`` carrying the naive kernels
         it covers — a pure observer, so outputs stay bit-identical.
         """
-        n = x.shape[0]
-        views = self._ensure_views(n)
-        values: Dict[str, np.ndarray] = {}
-        peak = 0
-        freed = 0
+        views = self._ensure_views(x.shape[0])
+        values: Dict[str, np.ndarray] = {"__input__": x}
         timed = profile or tracer is not None
         times: Optional[Dict[str, float]] = {} if profile else None
-        for idx, step in enumerate(self.steps):
-            ins = [x if dep == "__input__"
-                   else values[dep] if rows is None else values[dep][:, rows]
-                   for dep, rows in self._in_rows[idx]]
-            out = views.get(step.name)
+        for step, fetches, dies in self._schedule:
+            ins = [values[dep] if rows is None else values[dep][:, rows]
+                   for dep, rows in fetches]
             if timed:
                 t0 = time.perf_counter()
-            values[step.name] = step.run(ins, out)
+            values[step.name] = step.run(ins, views.get(step.name))
             if timed:
                 t1 = time.perf_counter()
                 if profile:
@@ -893,18 +912,12 @@ class CompiledPlan:
                 if tracer is not None:
                     tracer.record(f"step.{step.name}", wall_t0=t0,
                                   wall_t1=t1, covers=len(step.covers))
-            if len(values) > peak:
-                peak = len(values)
-            for dep in self._dies_after[idx]:
+            for dep in dies:
                 del values[dep]
-                freed += 1
-        out_name = self.steps[-1].name
-        y = values[out_name]
-        if out_name in self._slots or self.steps[-1].aliases_input:
-            # arena-backed (or a view of an arena slot): hand the caller
-            # an owned copy so the next run cannot mutate it.
+        y = values[self.steps[-1].name]
+        if self._copy_out:
             y = y.copy()
-        return y, peak, freed, times
+        return y, self._peak_live, self._freed, times
 
 
 # ----------------------------------------------------------------------

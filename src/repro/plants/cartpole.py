@@ -190,6 +190,7 @@ class _CartpoleSession(PlantSession):
     def __init__(self, plant: CartpolePlant, seed: Any):
         self.plant = plant
         self._rng = session_rng(seed)
+        self._scales = np.asarray(plant.state_scales, dtype=np.float64)
         self.state = np.zeros(4)  # x, x_dot, theta, theta_dot
         self._reset_pole()
         self.failures = 0
@@ -204,12 +205,14 @@ class _CartpoleSession(PlantSession):
 
     # ------------------------------------------------------------------
     def next_frame(self) -> np.ndarray:
-        p = self.plant
-        scaled = np.asarray(self.state) / np.asarray(p.state_scales)
-        self.truth.append(p.ideal_action(self.state))
-        self._theta_hist.append(float(self.state[2]))
-        self._omega_hist.append(float(self.state[3]))
-        return np.tile(scaled, 2).astype(np.float64)
+        # Python floats carry the same float64 values through the float
+        # control law as the array's elements would.
+        state = self.state.tolist()
+        self.truth.append(self.plant.ideal_action(state))
+        self._theta_hist.append(state[2])
+        self._omega_hist.append(state[3])
+        scaled = self.state / self._scales
+        return np.concatenate((scaled, scaled))
 
     def apply(self, action: Optional[str]) -> None:
         p = self.plant

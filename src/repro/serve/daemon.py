@@ -683,6 +683,16 @@ class ServingDaemon:
 # ----------------------------------------------------------------------
 # Synchronous wrapper
 # ----------------------------------------------------------------------
+def _halt_loop(loop: asyncio.AbstractEventLoop, thread: threading.Thread,
+               timeout_s: float) -> None:
+    """Stop *loop*, join the thread running it and close it once that
+    thread has ended (a loop that still runs cannot be closed)."""
+    loop.call_soon_threadsafe(loop.stop)
+    thread.join(timeout=timeout_s)
+    if not thread.is_alive():
+        loop.close()
+
+
 class DaemonHandle:
     """A :class:`ServingDaemon` on a background event loop.
 
@@ -717,8 +727,7 @@ class DaemonHandle:
         try:
             daemon = fut.result(timeout=timeout_s)
         except Exception:
-            loop.call_soon_threadsafe(loop.stop)
-            thread.join(timeout=5.0)
+            _halt_loop(loop, thread, timeout_s=5.0)
             raise
         return cls(daemon, loop, thread)
 
@@ -749,8 +758,7 @@ class DaemonHandle:
             return self._call(self.daemon.stop(), timeout_s)
         finally:
             self._stopped = True
-            self._loop.call_soon_threadsafe(self._loop.stop)
-            self._thread.join(timeout=10.0)
+            _halt_loop(self._loop, self._thread, timeout_s=10.0)
 
     def __enter__(self) -> "DaemonHandle":
         return self

@@ -187,7 +187,8 @@ class AchillesBoard:
     def process_frame(self, frame: np.ndarray,
                       jitter_s: float = 0.0,
                       faults: Optional[FrameFaults] = None,
-                      precomputed_raw: Optional[np.ndarray] = None
+                      precomputed_raw: Optional[np.ndarray] = None,
+                      raw_in: Optional[np.ndarray] = None
                       ) -> FrameTiming:
         """Run one frame through steps 1–8; returns its timing breakdown.
 
@@ -204,6 +205,10 @@ class AchillesBoard:
         transfers, trigger, IRQ, reads), only the in-line forward pass is
         skipped.  Never combine it with datapath faults — the runtime
         falls back to in-line compute whenever faults are injected.
+
+        ``raw_in`` is the frame's input words when the caller already
+        cast its block (:meth:`NeuralIPCore.quantize_block`); step 1
+        writes them instead of casting *frame* again.
         """
         sim = self.sim
         tr = self.tracer
@@ -218,7 +223,7 @@ class AchillesBoard:
         # Step 1: write the quantized frame through the data bridge.
         self.counters.start("step1_write_input", sim.now)
         t0 = sim.now
-        raw = self.ip.quantize_input(frame)
+        raw = self.ip.quantize_input(frame) if raw_in is None else raw_in
         self.input_ram.write(0, raw)
         t_write = self.data_bridge.write_time(self._bus_words(raw.size))
         sim.advance(t_write)

@@ -8,7 +8,7 @@ clock, from which per-step durations are derived.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 __all__ = ["PerformanceCounters"]
 
@@ -17,7 +17,9 @@ class PerformanceCounters:
     """Named start/stop interval counters with cycle resolution.
 
     Counters are keyed by step name (e.g. ``"step1_write_input"``); each
-    ``start``/``stop`` pair appends one measured interval.  ``clock_hz``
+    ``start``/``stop`` pair adds one measured interval to the counter's
+    interval count and running total, so a long-lived board holds two
+    numbers per counter however many frames it runs.  ``clock_hz``
     converts to cycle counts like the hardware counters would report.
 
     Besides intervals, the block carries plain *event counters*
@@ -30,7 +32,8 @@ class PerformanceCounters:
             raise ValueError(f"clock_hz must be positive, got {clock_hz}")
         self.clock_hz = clock_hz
         self._open: Dict[str, List[float]] = {}
-        self._intervals: Dict[str, List[Tuple[float, float]]] = {}
+        # per counter: [intervals recorded, their summed seconds]
+        self._totals: Dict[str, list] = {}
         self._events: Dict[str, int] = {}
 
     def start(self, name: str, now: float) -> None:
@@ -57,8 +60,14 @@ class PerformanceCounters:
         stack.pop()
         if not stack:
             del self._open[name]
-        self._intervals.setdefault(name, []).append((begin, now))
-        return now - begin
+        seconds = now - begin
+        tally = self._totals.get(name)
+        if tally is None:
+            self._totals[name] = [1, seconds]
+        else:
+            tally[0] += 1
+            tally[1] += seconds
+        return seconds
 
     def cancel(self, name: str) -> None:
         """Discard the most recent open start (watchdog-abandoned
@@ -92,24 +101,28 @@ class PerformanceCounters:
         return dict(self._events)
 
     # ------------------------------------------------------------------
-    def intervals(self, name: str) -> List[Tuple[float, float]]:
-        """All recorded (start, stop) pairs of counter *name*."""
-        return list(self._intervals.get(name, []))
+    def interval_count(self, name: str) -> int:
+        """Intervals counter *name* has recorded (0 if never stopped)."""
+        tally = self._totals.get(name)
+        return tally[0] if tally is not None else 0
 
-    def durations(self, name: str) -> List[float]:
-        """Recorded durations (seconds) of counter *name*."""
-        return [b - a for a, b in self._intervals.get(name, [])]
+    def total_seconds(self, name: str) -> float:
+        """Summed duration of counter *name*'s intervals, added in the
+        order they were recorded."""
+        tally = self._totals.get(name)
+        return tally[1] if tally is not None else 0.0
 
     def total_cycles(self, name: str) -> int:
         """Sum of counter *name* in clock cycles."""
-        return int(round(sum(self.durations(name)) * self.clock_hz))
+        return int(round(self.total_seconds(name) * self.clock_hz))
 
     def names(self) -> List[str]:
         """All counters that recorded at least one interval."""
-        return sorted(self._intervals)
+        return sorted(self._totals)
 
     def reset(self) -> None:
-        """Clear all state (intervals, open intervals, event counters)."""
+        """Clear all state (interval totals, open intervals, event
+        counters)."""
         self._open.clear()
-        self._intervals.clear()
+        self._totals.clear()
         self._events.clear()

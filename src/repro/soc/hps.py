@@ -14,7 +14,8 @@ to SDRAM.  Two timing ingredients matter:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -30,6 +31,7 @@ class HPSConfig:
     The defaults were calibrated so that the full step 1–8 pipeline costs
     ≈0.17 ms on top of the IP latency, reproducing the paper's measured
     1.74 ms (U-Net, IP 1.57 ms) and 0.31 ms (MLP) system latencies.
+    Every field is a finite, non-negative number of seconds.
     """
 
     #: standardize + pack the frame before writing (step 0→1 boundary)
@@ -42,10 +44,11 @@ class HPSConfig:
     csr_access_s: float = 0.4e-6
 
     def __post_init__(self):
-        for name in ("preprocess_s", "postprocess_s", "irq_latency_s",
-                     "csr_access_s"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"{f.name} must be finite and >= 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -57,7 +60,8 @@ class OSJitter:
     Defaults reproduce Fig 5(c): 99.97 % of U-Net frames below 1.9 ms,
     worst case ≈ 2.27 ms (spike ≈ 0.5 ms), and the paper's MLP worst case
     of 0.91 ms (0.31 ms mean + ≈ 0.6 ms spike headroom is never reached
-    because spikes are capped at ``spike_max``).
+    because spikes are capped at ``spike_max``).  The scale and the spike
+    bounds are finite.
     """
 
     scale_s: float = 12e-6
@@ -66,6 +70,10 @@ class OSJitter:
     spike_max_s: float = 470e-6
 
     def __post_init__(self):
+        for name in ("scale_s", "spike_min_s", "spike_max_s"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.scale_s < 0:
             raise ValueError("scale_s must be >= 0")
         if not 0.0 <= self.spike_rate <= 1.0:

@@ -110,7 +110,7 @@ class NeuralIPCore:
             y = self.hls_model.predict(x)[0]
             raw_out = to_raw(y.ravel(), self.output_format)
         else:
-            raw_out = np.asarray(precomputed_raw, dtype=np.int64)
+            raw_out = precomputed_raw
             if raw_out.shape != (self._n_out,):
                 raise ValueError(
                     f"precomputed_raw must have shape ({self._n_out},), "
@@ -121,7 +121,8 @@ class NeuralIPCore:
         return self.compute_latency_s + extra_busy_s
 
     def precompute_raw_outputs(self, frames: np.ndarray,
-                               valid_mask: Optional[np.ndarray] = None
+                               valid_mask: Optional[np.ndarray] = None,
+                               raw_in: Optional[np.ndarray] = None
                                ) -> np.ndarray:
         """Batched forward pass → per-frame raw output words.
 
@@ -142,6 +143,10 @@ class NeuralIPCore:
         batching any *subset* of frames yields the same words as batching
         all of them (the same invariance that makes
         :data:`BATCH_BLOCK_FRAMES` chunking safe).
+
+        ``raw_in`` is the block's input words when the caller already
+        cast it with :meth:`quantize_block` (the runtime writes the same
+        words to the input RAM); without it the block is cast here.
         """
         frames = np.asarray(frames, dtype=np.float64)
         if frames.ndim != 2 or frames.shape[1] != self._n_in:
@@ -149,6 +154,9 @@ class NeuralIPCore:
                 f"frames must be (n, {self._n_in}), got {frames.shape}"
             )
         n = frames.shape[0]
+        if raw_in is not None and raw_in.shape != frames.shape:
+            raise ValueError(
+                f"raw_in must have shape {frames.shape}, got {raw_in.shape}")
         if valid_mask is not None:
             valid_mask = np.asarray(valid_mask, dtype=bool)
             if valid_mask.shape != (n,):
@@ -156,12 +164,17 @@ class NeuralIPCore:
                     f"valid_mask must have shape ({n},), got {valid_mask.shape}"
                 )
             if not valid_mask.all():
+                # Rows outside the mask are never cast: their inputs may
+                # be replaced (last-known-good) before step 1 reads them.
                 out = np.zeros((n, self._n_out), dtype=np.int64)
                 idx = np.flatnonzero(valid_mask)
                 if idx.size:
-                    out[idx] = self.precompute_raw_outputs(frames[idx])
+                    out[idx] = self.precompute_raw_outputs(
+                        frames[idx],
+                        raw_in=None if raw_in is None else raw_in[idx])
                 return out
-        raw_in = to_raw(frames, self.input_format)
+        if raw_in is None:
+            raw_in = to_raw(frames, self.input_format)
         x = from_raw(raw_in, self.input_format)
         x = x.reshape((n,) + tuple(self.hls_model.input_shape))
         out = np.empty((n, self._n_out), dtype=np.int64)
@@ -179,6 +192,16 @@ class NeuralIPCore:
         if frame.size != self._n_in:
             raise ValueError(f"frame must have {self._n_in} values, got {frame.size}")
         return to_raw(frame, self.input_format)
+
+    def quantize_block(self, frames: np.ndarray) -> np.ndarray:
+        """Float frames ``(n, n_inputs)`` → their raw input-buffer words,
+        row *i* equal to ``quantize_input(frames[i])``."""
+        frames = np.asarray(frames, dtype=np.float64)
+        if frames.ndim != 2 or frames.shape[1] != self._n_in:
+            raise ValueError(
+                f"frames must be (n, {self._n_in}), got {frames.shape}"
+            )
+        return to_raw(frames, self.input_format)
 
     def dequantize_output(self, raw: np.ndarray) -> np.ndarray:
         """Raw output-buffer words → float probabilities (HPS side)."""

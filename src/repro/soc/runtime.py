@@ -75,7 +75,7 @@ from repro.soc.taint import (
     classify_events,
     speculation_mask,
 )
-from repro.utils.rng import SeedLike, default_rng
+from repro.utils.rng import SeedLike
 
 __all__ = [
     "CentralNodeRuntime",
@@ -108,21 +108,26 @@ def derive_stream_seeds(seed: SeedLike, start: int) -> Tuple[int, int]:
     existed the seeds came from ``seed`` alone and back-to-back calls
     replayed identical streams for different frame ranges.)
 
+    The pair is two ``integers(0, 2**62)`` draws of a fresh
+    ``default_rng(child)``.  Those are taken straight from the PCG64 bit
+    generator: Lemire's bounded draw with a power-of-two bound never
+    rejects, so each draw is one 64-bit raw word shifted right by two
+    (pinned by ``tests/test_fast_path.py``).
+
     A ``Generator`` is consumed directly — its state already advances
     across calls, which is exactly the caller-managed contract.
     """
     if isinstance(seed, np.random.Generator):
-        rng = seed
+        return int(seed.integers(0, 2**62)), int(seed.integers(0, 2**62))
+    if isinstance(seed, np.random.SeedSequence):
+        child = np.random.SeedSequence(
+            entropy=seed.entropy,
+            spawn_key=tuple(seed.spawn_key) + (start,))
     else:
-        if isinstance(seed, np.random.SeedSequence):
-            child = np.random.SeedSequence(
-                entropy=seed.entropy,
-                spawn_key=tuple(seed.spawn_key) + (start,))
-        else:
-            # seed may be None (entropy-seeded): SeedSequence handles it.
-            child = np.random.SeedSequence(entropy=seed, spawn_key=(start,))
-        rng = default_rng(child)
-    return int(rng.integers(0, 2**62)), int(rng.integers(0, 2**62))
+        # seed may be None (entropy-seeded): SeedSequence handles it.
+        child = np.random.SeedSequence(entropy=seed, spawn_key=(start,))
+    hub_word, board_word = np.random.PCG64(child).random_raw(2).tolist()
+    return hub_word >> 2, board_word >> 2
 
 #: Frame statuses, ordered from healthy to most degraded.
 STATUS_OK = "ok"
@@ -185,11 +190,11 @@ class DegradationPolicy:
         last-known-good before the frame is declared ``stale_inputs``.
     max_publish_attempts / publish_backoff_s:
         Bounded-backoff retry for ACNET publishes; exhausting the
-        attempts dead-letters the message.
+        attempts dead-letters the message.  The backoff is finite.
     output_low / output_high:
         Valid range for model outputs (sigmoid probabilities with
-        quantization margin); values outside, or non-finite, trip the
-        corruption guard.
+        quantization margin; neither bound NaN); values outside, or
+        non-finite, trip the corruption guard.
     """
 
     watchdog_s: Optional[float] = None
@@ -214,8 +219,13 @@ class DegradationPolicy:
             raise ValueError("staleness_limit must be >= 0")
         if self.max_publish_attempts < 1:
             raise ValueError("max_publish_attempts must be >= 1")
-        if self.publish_backoff_s < 0:
-            raise ValueError("publish_backoff_s must be >= 0")
+        if not (math.isfinite(self.publish_backoff_s)
+                and self.publish_backoff_s >= 0):
+            raise ValueError(f"publish_backoff_s must be finite and >= 0, "
+                             f"got {self.publish_backoff_s}")
+        for name in ("output_low", "output_high"):
+            if math.isnan(getattr(self, name)):
+                raise ValueError(f"{name} must not be NaN")
         if self.output_low >= self.output_high:
             raise ValueError("output_low must be < output_high")
 
@@ -477,7 +487,15 @@ class CentralNodeRuntime:
         if self._hub_stale is None:
             self._hub_stale = np.zeros(n_hubs, dtype=np.int64)
             self._lkg_valid = np.zeros(n_hubs, dtype=bool)
-        spans = self.hubs.spans()
+            self._last_good = np.zeros(self.hubs.n_monitors)
+        # The block's arrivals are checked once.  Arrivals never precede
+        # the tick and a lost packet is +inf (NaN propagates through the
+        # max), so a frame's hubs all arrived exactly when its row max is
+        # finite; that max is then its step-0 delay.
+        hub_delays = arrivals.max(axis=1)
+        complete = np.isfinite(hub_delays).tolist()
+        hub_delays = hub_delays.tolist()
+        jitters = jitters.tolist()
         # Pacing anchors: one per board, captured the first time the
         # board runs in this call (matches AchillesBoard.run(paced=True)).
         anchors: Dict[int, float] = {}
@@ -498,29 +516,35 @@ class CentralNodeRuntime:
         precomputed: Optional[np.ndarray] = None
         speculative = False
         spec_valid: Optional[np.ndarray] = None
+        # Step 1's input words where the fault-free batched path cast the
+        # block once: the precompute reads them, and so does step 1 of
+        # every frame on the primary board.  Elsewhere step 1 casts.
+        words: Optional[np.ndarray] = None
         if (self.batch_inference and n > 0
                 and (self.fallback_board is None
                      or self.engine == ENGINE_PRIMARY)):
             if schedule is None:
+                words = self.board.ip.quantize_block(frames)
                 if obs is None:
-                    precomputed = self.board.ip.precompute_raw_outputs(frames)
+                    precomputed = self.board.ip.precompute_raw_outputs(
+                        frames, raw_in=words)
                 else:
                     with obs.tracer.span("batch_precompute", frames=n):
                         precomputed = self.board.ip.precompute_raw_outputs(
-                            frames)
+                            frames, raw_in=words)
             else:
                 speculative = True
                 spec_valid = speculation_mask(
                     schedule, start, n, model_tainted=self._model_tainted)
                 if obs is None:
                     precomputed = self.board.ip.precompute_raw_outputs(
-                        frames, valid_mask=spec_valid)
+                        frames, valid_mask=spec_valid, raw_in=words)
                 else:
                     with obs.tracer.span(
                             "spec_precompute", frames=n,
                             masked=int(n - int(spec_valid.sum()))):
                         precomputed = self.board.ip.precompute_raw_outputs(
-                            frames, valid_mask=spec_valid)
+                            frames, valid_mask=spec_valid, raw_in=words)
 
         new_records = []
         for i in range(n):
@@ -528,7 +552,8 @@ class CentralNodeRuntime:
             events = schedule.for_frame(fi) if schedule is not None else ()
             for e in events:
                 self.counters.increment(f"fault.{e.kind.value}")
-            fault_kinds = tuple(sorted({e.kind.value for e in events}))
+            fault_kinds = (tuple(sorted({e.kind.value for e in events}))
+                           if events else ())
 
             # Frame validation ladder: decide whether this frame may
             # consume its precomputed raw row, and if not, why.  The
@@ -573,18 +598,23 @@ class CentralNodeRuntime:
                 self.counters.increment(
                     f"spec.invalidated.{invalidation_cause}")
             raw_i = precomputed[i] if use_batched else None
+            # A frame whose hubs all arrived and that no fault touches
+            # takes its row max as its delay; the rest resolve their hubs
+            # one by one.
+            hub_delay = hub_delays[i] if complete[i] and not events else None
+            words_i = words[i] if words is not None else None
             if obs is None:
                 record = self._process_one(
-                    fi, i, frames[i], arrivals[i], float(jitters[i]),
-                    events, fault_kinds, spans, anchors,
+                    fi, i, frames[i], words_i, arrivals, hub_delay,
+                    jitters[i], events, fault_kinds, anchors,
                     precomputed_raw=raw_i,
                 )
             else:
                 tick0 = fi * self.period_s
                 with obs.tracer.span("frame", frame=fi, sim_t0=tick0) as sp:
                     record = self._process_one(
-                        fi, i, frames[i], arrivals[i], float(jitters[i]),
-                        events, fault_kinds, spans, anchors,
+                        fi, i, frames[i], words_i, arrivals, hub_delay,
+                        jitters[i], events, fault_kinds, anchors,
                         precomputed_raw=raw_i,
                     )
                     sp.sim_t1 = tick0 + record.total_latency_s
@@ -599,7 +629,7 @@ class CentralNodeRuntime:
             # full and scrubs the taint.  A consuming (batched) frame or
             # a watchdog-abandoned frame never scrubs — conservatively
             # keep the taint alive, which costs a replay, never a bit.
-            if any(e.kind is FaultKind.SEU for e in events):
+            if events and any(e.kind is FaultKind.SEU for e in events):
                 self._model_tainted = True
             elif (self._model_tainted and not use_batched
                     and record.status != STATUS_WATCHDOG):
@@ -625,78 +655,46 @@ class CentralNodeRuntime:
 
     # ------------------------------------------------------------------
     def _process_one(self, fi: int, i: int, frame: np.ndarray,
-                     arrival_row: np.ndarray, jitter_s: float,
+                     words: Optional[np.ndarray], arrivals: np.ndarray,
+                     hub_delay: Optional[float], jitter_s: float,
                      events: Tuple[FaultEvent, ...],
                      fault_kinds: Tuple[str, ...],
-                     spans, anchors: Dict[int, float],
+                     anchors: Dict[int, float],
                      precomputed_raw: Optional[np.ndarray] = None
                      ) -> FrameRecord:
-        """One frame through the full degradation ladder."""
-        policy = self.policy
-        arrived = np.isfinite(arrival_row)
-        has_hub_faults = not arrived.all() or any(
-            e.kind in (FaultKind.STUCK_MONITOR, FaultKind.NOISY_MONITOR)
-            for e in events)
+        """One frame through the full degradation ladder.
 
-        fvec = frame
-        if has_hub_faults:
-            if frame.shape[-1] != self.hubs.n_monitors:
-                raise ValueError(
-                    f"hub/monitor faults need frames with "
-                    f"{self.hubs.n_monitors} monitors, got {frame.shape[-1]}"
-                )
-            fvec = frame.copy()
-            # Monitor faults corrupt the *received* data (the physical
-            # channel is broken) before any substitution bookkeeping.
-            for e in events:
-                if e.kind is FaultKind.STUCK_MONITOR:
-                    fvec[e.target % fvec.size] = e.value
-                elif e.kind is FaultKind.NOISY_MONITOR:
-                    fvec[e.target % fvec.size] += e.value
-
+        *words* are the frame's input words when :meth:`run` cast its
+        block, else ``None``; *hub_delay* is its arrivals' row max when
+        every hub arrived and no fault event touches it, else ``None``.
+        """
         # Last-known-good substitution for missing hub slices.  The
         # bookkeeping only runs under an injector so the fault-free path
-        # stays allocation-free (and bit-identical to the plain loop).
-        substituted: List[int] = []
-        stale = False
+        # stays bit-identical to the plain loop.
         track_lkg = (self.injector is not None
                      and frame.shape[-1] == self.hubs.n_monitors)
-        if not arrived.all():
-            for h in np.nonzero(~arrived)[0]:
-                self._hub_stale[h] += 1
-                a, b = spans[h]
-                if (track_lkg and self._lkg_valid[h]
-                        and self._hub_stale[h] <= policy.staleness_limit):
-                    fvec[a:b] = self._last_good[a:b]
-                    substituted.append(int(h))
-                    self.counters.increment("hub.substituted")
-                else:
-                    stale = True
-                    self.counters.increment("hub.stale")
-        if track_lkg:
-            if self._last_good is None:
-                self._last_good = np.zeros(self.hubs.n_monitors)
-            for h in np.nonzero(arrived)[0]:
-                self._hub_stale[h] = 0
-                a, b = spans[h]
-                self._last_good[a:b] = fvec[a:b]
-                self._lkg_valid[h] = True
+        if hub_delay is not None:
+            # Every hub arrived: all stale counters reset and, when
+            # tracked, the whole frame becomes last-known-good.
+            fvec = frame
+            substituted: List[int] = []
+            stale = False
+            n_arrived = self.hubs.n_hubs
+            self._hub_stale.fill(0)
+            if track_lkg:
+                self._last_good[:] = frame
+                self._lkg_valid.fill(True)
         else:
-            self._hub_stale[arrived] = 0
-
-        # Step 0 completion: the last *arrived* packet.  With every hub
-        # lost the node has nothing to wait for — charge the period.
-        if arrived.any():
-            hub_delay = float(arrival_row[arrived].max())
-        else:
-            hub_delay = self.period_s
-            stale = True
+            fvec, hub_delay, stale, substituted, n_arrived = (
+                self._resolve_hubs(frame, arrivals[i], events, track_lkg))
+            if fvec is not frame:
+                words = None  # step 1 casts the rewritten inputs itself
         obs = self.obs
         if obs is not None:
             tick0 = fi * self.period_s
             obs.tracer.record("hub_readout", frame=fi, sim_t0=tick0,
                               sim_t1=tick0 + hub_delay,
-                              arrived=int(arrived.sum()),
+                              arrived=n_arrived,
                               substituted=len(substituted))
 
         # Steps 1–8 on the active engine, paced to the digitizer grid.
@@ -707,14 +705,17 @@ class CentralNodeRuntime:
         if board.sim.now < tick:
             board.sim.advance(tick - board.sim.now)
 
-        frame_faults = FrameFaults.from_events(events)
+        frame_faults = FrameFaults.from_events(events) if events else None
+        if board is not self.board:
+            words = None  # the fallback model casts onto its own grid
         hung = False
         output: Optional[np.ndarray] = None
         timing: Optional[FrameTiming] = None
         try:
             timing = board.process_frame(fvec, jitter_s=jitter_s,
                                          faults=frame_faults,
-                                         precomputed_raw=precomputed_raw)
+                                         precomputed_raw=precomputed_raw,
+                                         raw_in=words)
             node_latency = float(timing.total)
             if node_latency > self.watchdog_s:
                 # Over-budget frame: the watchdog abandons it at the
@@ -810,6 +811,69 @@ class CentralNodeRuntime:
             published=published,
         )
 
+    def _resolve_hubs(self, frame: np.ndarray, arrival_row: np.ndarray,
+                      events: Tuple[FaultEvent, ...], track_lkg: bool):
+        """Step 0 of a frame a fault touched or a hub missed.
+
+        Applies monitor faults, patches missing hub slices from
+        last-known-good and keeps the staleness counters; returns
+        ``(inputs, hub_delay, stale, substituted hubs, hubs arrived)``.
+        """
+        policy = self.policy
+        arrived = np.isfinite(arrival_row)
+        has_hub_faults = not arrived.all() or any(
+            e.kind in (FaultKind.STUCK_MONITOR, FaultKind.NOISY_MONITOR)
+            for e in events)
+
+        fvec = frame
+        if has_hub_faults:
+            if frame.shape[-1] != self.hubs.n_monitors:
+                raise ValueError(
+                    f"hub/monitor faults need frames with "
+                    f"{self.hubs.n_monitors} monitors, got {frame.shape[-1]}"
+                )
+            fvec = frame.copy()
+            # Monitor faults corrupt the *received* data (the physical
+            # channel is broken) before any substitution bookkeeping.
+            for e in events:
+                if e.kind is FaultKind.STUCK_MONITOR:
+                    fvec[e.target % fvec.size] = e.value
+                elif e.kind is FaultKind.NOISY_MONITOR:
+                    fvec[e.target % fvec.size] += e.value
+
+        substituted: List[int] = []
+        stale = False
+        spans = self.hubs.spans()
+        if not arrived.all():
+            for h in np.nonzero(~arrived)[0]:
+                self._hub_stale[h] += 1
+                a, b = spans[h]
+                if (track_lkg and self._lkg_valid[h]
+                        and self._hub_stale[h] <= policy.staleness_limit):
+                    fvec[a:b] = self._last_good[a:b]
+                    substituted.append(int(h))
+                    self.counters.increment("hub.substituted")
+                else:
+                    stale = True
+                    self.counters.increment("hub.stale")
+        if track_lkg:
+            for h in np.nonzero(arrived)[0]:
+                self._hub_stale[h] = 0
+                a, b = spans[h]
+                self._last_good[a:b] = fvec[a:b]
+                self._lkg_valid[h] = True
+        else:
+            self._hub_stale[arrived] = 0
+
+        # Step 0 completion: the last *arrived* packet.  With every hub
+        # lost the node has nothing to wait for — charge the period.
+        if arrived.any():
+            hub_delay = float(arrival_row[arrived].max())
+        else:
+            hub_delay = self.period_s
+            stale = True
+        return fvec, hub_delay, stale, substituted, int(arrived.sum())
+
     # ------------------------------------------------------------------
     def _observe_frame(self, record: FrameRecord, obs: Observability) -> None:
         """Fold one processed frame into the observability bundle.
@@ -855,22 +919,26 @@ class CentralNodeRuntime:
 
     # ------------------------------------------------------------------
     def _output_valid(self, output: Optional[np.ndarray]) -> bool:
-        """NaN/range guard: sigmoid probabilities with margin."""
+        """NaN/range guard: sigmoid probabilities with margin.
+
+        A NaN makes the min and the max NaN and an infinity is one of
+        them, so the two ends speak for every value."""
         if output is None:
             return False
-        if not np.isfinite(output).all():
-            return False
-        return bool((output >= self.policy.output_low).all()
-                    and (output <= self.policy.output_high).all())
+        low, high = output.min(), output.max()
+        return bool(math.isfinite(low) and math.isfinite(high)
+                    and low >= self.policy.output_low
+                    and high <= self.policy.output_high)
 
     def _publish(self, decision: TripDecision,
                  events: Tuple[FaultEvent, ...],
                  sent_at_s: float) -> Tuple[int, bool]:
         """Publish with bounded-backoff retry; returns (attempts, ok)."""
-        injected = sum(int(e.value) for e in events
-                       if e.kind is FaultKind.ACNET_FAIL)
-        if injected:
-            self.acnet.inject_failures(injected)
+        if events:
+            injected = sum(int(e.value) for e in events
+                           if e.kind is FaultKind.ACNET_FAIL)
+            if injected:
+                self.acnet.inject_failures(injected)
         attempts = 0
         published = False
         sent_at = sent_at_s

@@ -234,6 +234,12 @@ class TestHubs:
             HubNetwork(n_hubs=0)
         with pytest.raises(ValueError):
             HubNetwork(n_hubs=300, n_monitors=260)
+        # A NaN or infinite latency would mark every hub missing: every
+        # frame stale, with no error raised.
+        for name in ("mean_latency_s", "jitter_s"):
+            for bad in (float("nan"), float("inf")):
+                with pytest.raises(ValueError, match=name):
+                    HubNetwork(**{name: bad})
 
 
 class TestStandardizer:

@@ -591,6 +591,44 @@ class TestDaemonFacade:
                 launch(tiny_hls, port=handle.address[1])
             assert len(mp.active_children()) == children
 
+    def test_stop_closes_the_event_loop(self, tiny_hls):
+        handle = launch(tiny_hls, workers=1)
+        handle.stop()
+        assert not handle._thread.is_alive()
+        assert handle._loop.is_closed()
+
+    def test_stop_that_raises_still_closes_the_event_loop(
+            self, tiny_hls, monkeypatch):
+        handle = launch(tiny_hls, workers=1)
+        teardown = handle.daemon.stop
+
+        async def failing_stop():
+            await teardown()
+            raise RuntimeError("teardown failed")
+
+        monkeypatch.setattr(handle.daemon, "stop", failing_stop)
+        with pytest.raises(RuntimeError, match="teardown failed"):
+            handle.stop()
+        assert handle._loop.is_closed()
+
+    def test_failed_launch_closes_its_event_loop(self, tiny_hls,
+                                                 monkeypatch):
+        import asyncio
+
+        loops = []
+        new_event_loop = asyncio.new_event_loop
+
+        def tracked():
+            loops.append(new_event_loop())
+            return loops[-1]
+
+        monkeypatch.setattr(asyncio, "new_event_loop", tracked)
+        with launch(tiny_hls, workers=1) as handle:
+            with pytest.raises(OSError):
+                launch(tiny_hls, port=handle.address[1])
+            assert loops[1].is_closed()
+        assert loops[0].is_closed()
+
     def test_daemon_validation(self, tiny_spec):
         with pytest.raises(ValueError, match="workers"):
             ServingDaemon(tiny_spec, workers=0)

@@ -142,6 +142,15 @@ class TestWatchdog:
             CentralNodeRuntime(board=AchillesBoard(tiny_hls), period_s=bad)
         with pytest.raises(ValueError, match="finite"):
             DegradationPolicy(watchdog_s=bad)
+        with pytest.raises(ValueError, match="publish_backoff_s"):
+            DegradationPolicy(publish_backoff_s=bad)
+
+    @pytest.mark.parametrize("name", ["output_low", "output_high"])
+    def test_nan_output_bound_rejected(self, name):
+        """A NaN bound fails every comparison, so the range check in
+        ``__post_init__`` cannot see it."""
+        with pytest.raises(ValueError, match=name):
+            DegradationPolicy(**{name: float("nan")})
 
 
 class TestLastKnownGood:
@@ -162,6 +171,23 @@ class TestLastKnownGood:
         for r in records[9:]:
             assert r.status == STATUS_OK
         assert runtime.health_report().substituted_slices == 2
+
+    @pytest.mark.parametrize("batch", [True, False])
+    def test_dropped_slice_is_never_cast(self, tiny_hls, frames, batch):
+        """A lost packet's slice is replaced before step 1 reads it, so
+        whatever the block holds there (here NaN) is never quantized —
+        on the speculative path as on the sequential one."""
+        block = frames[:6].copy()
+        block[3, 0:4] = np.nan  # hub 0's slice, lost at frame 3
+        specs = [HubDropFault(hub=0, rate=1.0, start=3, stop=4)]
+        runtime = make_runtime(tiny_hls, specs, with_fallback=False,
+                               batch=batch)
+        records = runtime.run(block, seed=0)
+        assert records[3].status == STATUS_DEGRADED
+        assert records[3].substituted_hubs == (0,)
+        clean = make_runtime(tiny_hls, specs, with_fallback=False,
+                             batch=batch).run(frames[:6], seed=0)
+        assert records == clean
 
     def test_drop_before_any_good_data_is_stale(self, tiny_hls, frames):
         specs = [HubDropFault(hub=0, rate=1.0, start=0, stop=1)]

@@ -232,6 +232,23 @@ class TestOSJitter:
             OSJitter(spike_rate=2.0)
         with pytest.raises(ValueError):
             OSJitter(spike_min_s=2.0, spike_max_s=1.0)
+        # A non-finite timing constant gives NaN node latencies that a
+        # deadline comparison silently turns into misses.
+        nan, inf = float("nan"), float("inf")
+        for kwargs, name in (({"scale_s": nan}, "scale_s"),
+                             ({"scale_s": inf}, "scale_s"),
+                             ({"spike_min_s": nan}, "spike_min_s"),
+                             ({"spike_max_s": nan}, "spike_max_s"),
+                             ({"spike_max_s": inf}, "spike_max_s"),
+                             ({"spike_min_s": inf, "spike_max_s": inf},
+                              "spike_min_s")):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                OSJitter(**kwargs)
+        for name in ("preprocess_s", "postprocess_s", "irq_latency_s",
+                     "csr_access_s"):
+            for bad in (nan, inf):
+                with pytest.raises(ValueError, match=f"{name} must be finite"):
+                    HPSConfig(**{name: bad})
 
 
 class TestCountersAndTrace:
@@ -241,6 +258,22 @@ class TestCountersAndTrace:
         assert c.stop("x", 1.5) == pytest.approx(0.5)
         assert c.total_cycles("x") == 50_000_000
         assert c.names() == ["x"]
+
+    def test_counter_keeps_a_count_and_a_total(self):
+        """A board lives for millions of frames: each counter holds its
+        interval count and running total, not one pair per interval."""
+        c = PerformanceCounters(clock_hz=100e6)
+        seconds = []
+        for i, d in enumerate([0.25, 1e-7, 3.5e-6, 0.125] * 500):
+            c.start("x", float(i))
+            seconds.append(c.stop("x", i + d))
+        assert c.interval_count("x") == len(seconds)
+        # the total adds the intervals in the order they were recorded
+        assert c.total_seconds("x") == sum(seconds)
+        assert c.total_cycles("x") == round(sum(seconds) * 100e6)
+        assert c.interval_count("never") == 0
+        assert c.total_seconds("never") == 0.0
+        assert not hasattr(c, "intervals") and not hasattr(c, "durations")
 
     def test_counter_misuse(self):
         c = PerformanceCounters()
