@@ -169,9 +169,7 @@ class NeuralIPCore:
                 out = np.zeros((n, self._n_out), dtype=np.int64)
                 idx = np.flatnonzero(valid_mask)
                 if idx.size:
-                    out[idx] = self.precompute_raw_outputs(
-                        frames[idx],
-                        raw_in=None if raw_in is None else raw_in[idx])
+                    out[idx] = self.precompute_raw_outputs(frames[idx])
                 return out
         if raw_in is None:
             raw_in = to_raw(frames, self.input_format)

@@ -538,13 +538,13 @@ class CentralNodeRuntime:
                     schedule, start, n, model_tainted=self._model_tainted)
                 if obs is None:
                     precomputed = self.board.ip.precompute_raw_outputs(
-                        frames, valid_mask=spec_valid, raw_in=words)
+                        frames, valid_mask=spec_valid)
                 else:
                     with obs.tracer.span(
                             "spec_precompute", frames=n,
                             masked=int(n - int(spec_valid.sum()))):
                         precomputed = self.board.ip.precompute_raw_outputs(
-                            frames, valid_mask=spec_valid, raw_in=words)
+                            frames, valid_mask=spec_valid)
 
         new_records = []
         for i in range(n):

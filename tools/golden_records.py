@@ -191,17 +191,17 @@ def cartpole_episode(compile_level: int, faulted: bool) -> dict:
     }
 
 
-def capture_cartpole(compile_level: int = 0) -> dict:
-    """The clean and the faulted cartpole episodes."""
+def capture_cartpole() -> dict:
+    """The clean and the faulted cartpole episodes (naive executor)."""
     return {
         "meta": {
             "ticks": CARTPOLE_TICKS,
             "session_seed": CARTPOLE_SESSION_SEED,
             "seed": CARTPOLE_SEED,
-            "compile_level": compile_level,
+            "compile_level": 0,
         },
-        "clean": cartpole_episode(compile_level, faulted=False),
-        "faulted": cartpole_episode(compile_level, faulted=True),
+        "clean": cartpole_episode(0, faulted=False),
+        "faulted": cartpole_episode(0, faulted=True),
     }
 
 
