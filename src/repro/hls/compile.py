@@ -30,7 +30,10 @@ kernel left in the design runs as its naive kernel here.)
   pre-filled with the bias.  The operand's producer writes that layout
   straight into its own output, and a concat feeding only the conv is
   never built: the conv contracts each operand against its slice of the
-  input channels (split-K).
+  input channels (split-K).  A cast-free nearest-neighbour up-sample
+  read only by a ``same`` conv is never built either: the conv reads the
+  low-resolution stream once per output phase, with the taps that land
+  on the same low-resolution row summed into one weight (polyphase).
 
 * **Static arena planner** — extends the model's liveness plan into
   first-fit offset assignment inside one preallocated float64 arena:
@@ -99,11 +102,13 @@ def check_compile_level(level) -> int:
 
 
 def _dgemm():
-    """scipy's BLAS ``dgemm``, imported on first use.
+    """scipy's BLAS ``dgemm``.
 
-    Only plans with a conv step ever call this, so dense-only plans never
-    import scipy, and the f2py object (which cannot be pickled) is never
-    stored on a plan that worker processes receive by pickle.
+    A plan with a conv step first calls this when it is built or
+    unpickled, so the import never lands inside a step's time; dense-only
+    plans never import scipy, and the f2py object (which cannot be
+    pickled) is never stored on a plan that worker processes receive by
+    pickle.
     """
     from scipy.linalg.blas import dgemm
     return dgemm
@@ -128,6 +133,27 @@ def _mac_bound(w2: np.ndarray, bias: Optional[np.ndarray],
     if bias is not None:
         col = col + np.abs(bias)
     return float(col.max()) if col.size else 0.0
+
+
+def _phase_taps(w: np.ndarray, s: int,
+                pl: int) -> List[List[Tuple[int, np.ndarray]]]:
+    """Per output phase of a conv (taps ``w``, ``pl`` zero rows on the
+    left) that reads an ``s``-fold nearest-neighbour up-sample:
+    ``[(low-res row offset, summed tap weights)]``.
+
+    Output ``t = s·q + r`` reads up-sampled row ``t + j − pl`` through
+    tap ``j``, which repeats low-res row ``q + ⌊(r + j − pl)/s⌋`` — also
+    for the zero edges, which up-sample to zero edges.  The taps of one
+    phase that land on the same low-res row merge into one weight.
+    """
+    phases = []
+    for r in range(s):
+        merged: Dict[int, np.ndarray] = {}
+        for j in range(w.shape[0]):
+            d = (r + j - pl) // s
+            merged[d] = merged[d] + w[j] if d in merged else w[j]
+        phases.append(sorted(merged.items()))
+    return phases
 
 
 def _grid(values) -> float:
@@ -198,6 +224,20 @@ def _build_lut(kernel: HLSKernel, in_fmt: FixedPointFormat) -> np.ndarray:
     values = raw.astype(np.float64) * in_fmt.lsb
     table = kernel.forward([values[np.newaxis, :]])
     return np.ascontiguousarray(table[0], dtype=np.float64)
+
+
+def _check_index(idx: np.ndarray, size: int) -> None:
+    """``IndexError`` unless every entry of the ``intp`` array *idx* is
+    in ``[0, size)``: one ``max`` over the words read unsigned, where a
+    negative index reads as a huge one.
+
+    This is the check ``take(mode="raise")`` makes, without the
+    temporary copy of ``out`` that mode gathers through: after it,
+    ``mode="wrap"`` is the identity on every index and writes ``out``
+    directly.
+    """
+    if idx.size and idx.view(np.uintp).max() >= size:
+        raise IndexError(f"gather index out of range [0, {size})")
 
 
 def _lut_span_ok(fmt: FixedPointFormat) -> bool:
@@ -393,7 +433,8 @@ class _LUTStep(_Step):
         np.copyto(idx, tmp, casting="unsafe")
         idx -= self.raw_min
         buf, dst = self._out(out)
-        np.take(self.table, idx, out=dst)
+        _check_index(idx, len(self.table))
+        self.table.take(idx, out=dst, mode="wrap")
         return buf
 
 
@@ -432,7 +473,8 @@ class _SoftmaxStep(_Step):
         np.multiply(z, self.inv_lsb, out=z)
         np.copyto(idx, z, casting="unsafe")
         idx -= self.zmin
-        np.take(self.table, idx, out=dst)
+        _check_index(idx, len(self.table))
+        self.table.take(idx, out=dst, mode="wrap")
         dst /= dst.sum(axis=-1, keepdims=True)
         raw = self._scratch("raw", n, self.out_shape, np.int64)
         quantize_(dst, self.kernel.config.result, raw_out=raw)
@@ -454,9 +496,21 @@ class _MACStep(_Step):
     rows of the operand's zero-edged buffer (``P = T + k − 1`` rows per
     frame), accumulating in place into a buffer pre-filled with the
     bias: output row ``f·P + t`` is frame ``f``'s position ``t``, and the
-    ``k − 1`` rows between frames are never read.  A concat folded into
-    the conv arrives as several operands, each contracting its own slice
-    of the input channels (split-K).
+    ``k − 1`` rows between frames hold partial sums of the same terms.
+    A concat folded into the conv arrives as several operands, each
+    contracting its own slice of the input channels (split-K).
+
+    ``conv['up'] = (i, s)``: operand ``i`` is the low-resolution stream
+    of an ``s``-fold up-sample folded into the conv.  Its merged taps
+    (:func:`_phase_taps`) accumulate, phase by phase, into bias-filled
+    scratch over its own zero-edged rows; the phases are then written
+    interleaved into the accumulator's data rows in place of the bias
+    fill, and the other operands' taps add on.
+
+    When the output buffer has the accumulator's row pitch (the consumer
+    conv has this conv's ``k``), the epilogue runs over every computed
+    row straight into the buffer's flat rows and re-zeroes its edge rows
+    after: no strided view, so no gather through a temporary copy.
     """
 
     def __init__(self, *, name: str, inputs: Sequence[str],
@@ -471,7 +525,7 @@ class _MACStep(_Step):
         self.mode = mode
         self.result = result
         self.accum = accum
-        self.conv = conv  # {'k', 'pad', 'formulation'}
+        self.conv = conv  # {'k', 'pad', 'up', 'formulation'}
         self.act_table = act_table
 
         if mode == "raw":
@@ -501,10 +555,27 @@ class _MACStep(_Step):
         if conv is None:
             self.w_eff = np.ascontiguousarray(w_eff)
         else:
-            # per operand, per tap: the (channels, filters) slice stored
-            # transposed, i.e. Fortran-ordered as BLAS reads it
-            self.w_taps = [[np.ascontiguousarray(w_eff[j, a:b]).T
-                            for j in range(conv["k"])] for a, b in splits]
+            # per operand: its zero rows before/after each frame, and its
+            # GEMMs as (phase, row offset, weights), the (channels,
+            # filters) weights stored transposed, i.e. Fortran-ordered as
+            # BLAS reads them
+            pl, pr = conv["pad"]
+            self.in_pads: List[Tuple[int, int]] = []
+            self.w_taps: List[List[tuple]] = []
+            for i, (a, b) in enumerate(splits):
+                w = w_eff[:, a:b]
+                if conv["up"] is not None and conv["up"][0] == i:
+                    s = conv["up"][1]
+                    ql = -(-pl // s)
+                    self.in_pads.append((ql, -(-pr // s)))
+                    gemms = [(r, ql + d, v) for r, phase in
+                             enumerate(_phase_taps(w, s, pl))
+                             for d, v in phase]
+                else:
+                    self.in_pads.append((pl, pr))
+                    gemms = [(0, j, w[j]) for j in range(conv["k"])]
+                self.w_taps.append([(r, e, np.ascontiguousarray(v).T)
+                                    for r, e, v in gemms])
         #: overflow op on the raw words (None when the bound proves the
         #: words in range)
         self.overflow: Optional[Overflow] = None
@@ -533,91 +604,126 @@ class _MACStep(_Step):
             np.matmul(x, self.w_eff, out=acc)
         if self.badd is not None:
             acc += self.badd
-        return acc, acc
+        return acc
 
     def _conv(self, ins: List[np.ndarray], n: int):
         """Per-tap GEMMs; returns (valid outputs, every computed row)."""
         k = self.conv["k"]
-        pl, pr = self.conv["pad"]
         t, f = self.mac_shape
         p = t + k - 1
-        m = n * p - (k - 1)
         acc = self._scratch("acc", n, (p, f))
-        rows_out = acc.reshape(n * p, f)[:m]
-        rows_out[...] = 0.0 if self.badd is None else self.badd
+        rows_out = acc.reshape(n * p, f)[:n * p - (k - 1)]
+        fill = 0.0 if self.badd is None else self.badd
         gemm = _dgemm()
-        c = rows_out.T  # Fortran view: BLAS accumulates in place
-        for i, (x, taps) in enumerate(zip(ins, self.w_taps)):
-            if not self.reads_padded[i] and (pl or pr
-                                             or not x.flags.c_contiguous):
-                # the producer could not write this layout: copy into a
-                # zero-edged buffer whose edges are never written
-                xp = self._scratch(f"pad{i}", n, (p, x.shape[2]), zero=True)
-                xp[:, pl:pl + x.shape[1]] = x
-                x = xp
-            rows = x.reshape(n * p, x.shape[2])
-            for j, w in enumerate(taps):
-                gemm(1.0, w, rows[j:j + m].T, beta=1.0, c=c, overwrite_c=1)
+        up = self.conv["up"]
+        if up is None:
+            rows_out[...] = fill
+        else:
+            i, s = up
+            t_lo = t // s
+            edges = sum(self.in_pads[i])
+            # phase-major: phase r's frames are rows r·n … (r+1)·n − 1
+            lo = self._scratch("phases", s * n, (t_lo + edges, f))
+            lo[...] = fill
+            lo = lo.reshape(s, n, t_lo + edges, f)
+            self._taps(gemm, ins[i], i,
+                       [ph.reshape(-1, f)[:n * (t_lo + edges) - edges]
+                        for ph in lo])
+            # output t = s·q + r is phase r's row q
+            acc[:, :t].reshape(n, t_lo, s, f)[...] = \
+                lo[:, :, :t_lo].transpose(1, 2, 0, 3)
+            acc[:, t:] = fill
+        for i, x in enumerate(ins):
+            if up is None or i != up[0]:
+                self._taps(gemm, x, i, [rows_out])
         return acc[:, :t], rows_out
+
+    def _taps(self, gemm, x: np.ndarray, i: int,
+              targets: List[np.ndarray]) -> None:
+        """Accumulate operand *i*'s GEMMs in place into
+        ``targets[phase]``, whose rows the operand's zero-edged rows
+        cover from every row offset."""
+        pl, pr = self.in_pads[i]
+        if not self.reads_padded[i] and (pl or pr
+                                         or not x.flags.c_contiguous):
+            # the producer could not write this layout: copy into a
+            # zero-edged buffer whose edges are never written
+            xp = self._scratch(f"pad{i}", x.shape[0],
+                               (pl + x.shape[1] + pr, x.shape[2]), zero=True)
+            xp[:, pl:pl + x.shape[1]] = x
+            x = xp
+        rows = x.reshape(-1, x.shape[2])
+        m = len(targets[0])
+        for r, e, w in self.w_taps[i]:
+            # Fortran view: BLAS accumulates in place
+            gemm(1.0, w, rows[e:e + m].T, beta=1.0, c=targets[r].T,
+                 overwrite_c=1)
 
     # -- full pipeline -------------------------------------------------
     def run(self, ins, out):
         n = ins[0].shape[0]
         if self.conv is None:
-            acc, rows = self._dense(ins[0], n)
-        else:
-            acc, rows = self._conv(ins, n)
-        buf, dst = self._out(out)
+            self._epilogue(self._dense(ins[0], n), self._out(out)[1])
+            return out
+        acc, rows = self._conv(ins, n)
+        if sum(self.pad) != self.conv["k"] - 1:
+            self._epilogue(acc, self._out(out)[1])
+            return out
+        # The output has the accumulator's row pitch: every computed row
+        # goes straight into the output's flat rows (frame f's row t onto
+        # its data row, the rows between frames onto edge rows), and the
+        # edge rows are zeroed after.
+        pl = self.pad[0]
+        self._epilogue(rows,
+                       out.reshape(-1, rows.shape[-1])[pl:pl + len(rows)])
+        self._out(out)
+        return out
 
+    def _epilogue(self, acc: np.ndarray, dst: np.ndarray) -> None:
+        """Requantize (and gather) *acc* into *dst*, row for row."""
+        n, shape = acc.shape[0], acc.shape[1:]
         if self.mode == "naive":
-            raw = self._scratch("raw", n, self.mac_shape, np.int64)
+            raw = self._scratch("raw", n, shape, np.int64)
             quantize_(acc, self.accum, raw_out=raw)
             quantize_(acc, self.result, raw_out=raw)
             np.copyto(dst, acc)
-            return buf
+            return
 
-        # raw emit: acc holds value/lsb; one rounding pass over every
-        # computed row (contiguous, and all of them exact sums).
+        # raw emit: acc holds value/lsb; one rounding pass (all of it
+        # exact sums, edge and between-frame rows included).
         fmt = self.result
         fused = self.act_table is not None
         if self.round_op == "rint":
-            np.rint(rows, out=rows)
+            np.rint(acc, out=acc)
         elif not (fused and self.trunc_ok):
-            np.floor(rows, out=rows)
+            np.floor(acc, out=acc)
         # else: proven at build time that the truncating int cast below
         # gives the same index the floor would.
         if fused:
             # acc already holds the gather index when the origin shift
             # was folded into the bias add; otherwise shift here.
-            ri = self._scratch("ri", n, self.mac_shape, np.intp)
+            ri = self._scratch("ri", n, shape, np.intp)
             np.copyto(ri, acc, casting="unsafe")
             if not self.idx_folded:
                 ri -= fmt.raw_min
-            # With out=, take's default mode="raise" gathers into a
-            # temporary copy of dst and copies it back.  Where the
-            # overflow op has just bounded the index, "wrap" is the
-            # identity on it and writes dst directly; where only the
-            # compile-time bound stands behind it, the check stays.
             if self.overflow is Overflow.WRAP:
                 # Power-of-2 span: the AND on the origin-shifted word is
                 # the wrap *and* the index clamp in one pass.
                 ri &= (1 << fmt.width) - 1
-                mode = "wrap"
             elif self.overflow is not None:
                 np.clip(ri, 0, fmt.raw_max - fmt.raw_min, out=ri)
-                mode = "wrap"
             else:
-                mode = "raise"
-            self.act_table.take(ri, out=dst, mode=mode)
-            return buf
+                # only the compile-time bound keeps the index in range
+                _check_index(ri, len(self.act_table))
+            self.act_table.take(ri, out=dst, mode="wrap")
+            return
         if self.overflow is None:
             np.multiply(acc, fmt.lsb, out=dst)
-            return buf
-        ri = self._scratch("ri", n, self.mac_shape, np.int64)
+            return
+        ri = self._scratch("ri", n, shape, np.int64)
         np.copyto(ri, acc, casting="unsafe")
         self._apply_overflow(ri, fmt)
         np.multiply(ri, fmt.lsb, out=dst)
-        return buf
 
     def _apply_overflow(self, ri: np.ndarray, fmt: FixedPointFormat) -> None:
         if self.overflow is Overflow.WRAP:
@@ -779,6 +885,17 @@ class CompiledPlan:
         # arena-backed (or a view of an arena slot): run() hands the
         # caller an owned copy so the next run cannot mutate it.
         self._copy_out = last.name in self._slots or last.aliases_input
+        self._import_blas()
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._import_blas()
+
+    def _import_blas(self) -> None:
+        """Import BLAS now if a conv step calls it, so no step's first
+        call (and no span of a fresh worker) holds the import."""
+        if any(getattr(step, "conv", None) for step in self.steps):
+            _dgemm()
 
     # -- planning ------------------------------------------------------
     def _plan_liveness(self) -> List[List[str]]:
@@ -930,8 +1047,9 @@ def _producer_fmt(model, name: str) -> FixedPointFormat:
 def _push_cast_up(model, built: Dict[str, _Step],
                   consumers: Dict[str, List[HLSKernel]],
                   dep: str, cast: tuple, expect: HLSKernel) -> bool:
-    """Try to absorb a concat operand *cast* into the producer chain of
-    *dep* (whose sole consumer must be *expect*).
+    """Try to absorb a concat operand *cast*, or an up-sample's own,
+    into the producer chain of *dep* (whose sole consumer must be
+    *expect*).
 
     Preference order: straight into a LUT / fused-MAC gather table
     (free), through a cast-free up-sample into *its* producer (repeats
@@ -957,31 +1075,68 @@ def _push_cast_up(model, built: Dict[str, _Step],
     return False
 
 
+def _fold_refusal(up: HLSKernel,
+                  consumers: Dict[str, List[HLSKernel]]) -> Optional[str]:
+    """Why up-sample *up* cannot fold into the conv that reads it: ``""``
+    when no conv reads it, ``None`` when it may (its cast and the conv's
+    exact-sum checks are decided later)."""
+    readers = consumers.get(up.name, [])
+    if len(readers) > 1:
+        return "up-sample has a second reader"
+    reader = readers[0] if readers else None
+    if isinstance(reader, ConcatKernel):
+        outs = consumers.get(reader.name, [])
+        reader = outs[0] if len(outs) == 1 else None
+    if not isinstance(reader, Conv1DKernel):
+        return ""
+    if reader.padding != "same":
+        return "up-sample feeds a valid conv"
+    wfmt = reader.config.weight
+    if reader.kernel_size * _max_abs(wfmt) / wfmt.lsb > _EXACT_SUM_LIMIT:
+        return "summed up-sample taps leave exact window"
+    return None
+
+
 def _build_mac_step(model, mac, *, consumers: Dict[str, List[HLSKernel]],
                     report: CompileReport, absorbed: set,
-                    concat: Optional[_ConcatStep] = None) -> Optional[_Step]:
+                    concat: Optional[_ConcatStep] = None,
+                    up: Optional[_UpSampleStep] = None) -> Optional[_Step]:
     """Lower one Dense/Conv to a :class:`_MACStep`, fusing a following
     activation LUT when provable, and for a conv the cast-free *concat*
-    that feeds it (split-K).  Returns ``None`` when an exact-sum
-    precondition fails (caller falls back)."""
+    that feeds it (split-K) and the cast-free up-sample *up* it reads
+    (polyphase).  Returns ``None`` when an exact-sum precondition fails
+    (caller falls back)."""
     in_fmt = _producer_fmt(model, mac.input_names[0])
     weight, bias = mac.weights["kernel"], mac.weights.get("bias")
     accum, result = mac.config.accum, mac.config.result
-    bound = _mac_bound(mac.weight_matrix, bias, _max_abs(in_fmt))
-    prod_frac = in_fmt.fractional + mac.config.weight.fractional
-    if bound / 2.0 ** (-prod_frac) > _EXACT_SUM_LIMIT:
-        report.fallbacks[mac.name] = "accumulator exceeds exact-sum window"
-        return None
 
     conv = None
     inputs, splits = mac.input_names, [(0, int(mac.input_shapes[0][-1]))]
     if concat is not None:
         inputs, splits = concat.inputs, [(a, b) for a, b, _ in concat.parts]
+    w2s = [mac.weight_matrix]
     if isinstance(mac, Conv1DKernel):
         k = mac.kernel_size
         pad = ((k - 1) // 2, k - 1 - (k - 1) // 2)
         conv = {"k": k, "pad": pad if mac.padding == "same" else (0, 0),
-                "formulation": "per_tap"}
+                "up": None, "formulation": "per_tap"}
+        if up is not None:
+            # Bound each output phase by its merged taps: |Wa + Wb| ≤
+            # |Wa| + |Wb|, and every partial sum is a partial sum of them.
+            i = inputs.index(up.name)
+            a, b = splits[i]
+            rest = np.concatenate([weight[:, :a], weight[:, b:]], axis=1)
+            rest = rest.reshape(-1, weight.shape[2])
+            w2s = [np.concatenate([rest] + [v for _, v in phase])
+                   for phase in _phase_taps(weight[:, a:b], up.size, pad[0])]
+            inputs = list(inputs)
+            inputs[i] = up.inputs[0]
+            conv["up"] = (i, up.size)
+    bound = max(_mac_bound(w2, bias, _max_abs(in_fmt)) for w2 in w2s)
+    prod_frac = in_fmt.fractional + mac.config.weight.fractional
+    if bound / 2.0 ** (-prod_frac) > _EXACT_SUM_LIMIT:
+        report.fallbacks[mac.name] = "accumulator exceeds exact-sum window"
+        return None
 
     raw_ok = (
         _accum_cast_skippable(accum, result, prod_frac, bound)
@@ -1048,7 +1203,7 @@ def _build_mac_step(model, mac, *, consumers: Dict[str, List[HLSKernel]],
             return None
     if mode == "raw":
         report.fused.append(mac.name)
-    covers = [concat.name] if concat is not None else []
+    covers = [routing.name for routing in (up, concat) if routing is not None]
     covers.append(mac.name)
     if act is not None:
         covers.append(act.name)
@@ -1061,8 +1216,8 @@ def _build_mac_step(model, mac, *, consumers: Dict[str, List[HLSKernel]],
 def compile_model(model) -> CompiledPlan:
     """Build the compiled plan for *model*: activation LUTs, fused
     MAC+requantize, per-tap conv GEMMs over zero-edged streams with
-    cast-free concats folded in, per-operand concat casts, lowered
-    routing steps, all in one static arena.
+    cast-free concats and up-samples folded in, per-operand concat casts,
+    lowered routing steps, all in one static arena.
 
     Nothing here is timed: compiling one model twice yields the same plan.
     """
@@ -1076,6 +1231,19 @@ def compile_model(model) -> CompiledPlan:
     built: Dict[str, _Step] = {}
     absorbed: set = set()
     concats: Dict[str, _ConcatStep] = {}  # folded into their conv
+    # Up-samples that may fold into the conv reading them: built (so a
+    # concat can push a cast through them) but placed only if they stay.
+    ups: Dict[str, _UpSampleStep] = {}
+
+    def place(step: _Step) -> None:
+        steps.append(step)
+        built[step.name] = step
+
+    def place_ups(deps: Sequence[str], reason: str) -> None:
+        for dep in deps:
+            if dep in ups:
+                report.fallbacks[dep] = reason
+                place(ups.pop(dep))
 
     for kernel in model.kernels:
         if kernel.name in absorbed:
@@ -1087,13 +1255,21 @@ def compile_model(model) -> CompiledPlan:
 
         elif isinstance(kernel, (DenseKernel, Conv1DKernel)):
             concat = concats.pop(kernel.input_names[0], None)
+            operands = (concat.inputs if concat is not None
+                        else kernel.input_names)
+            held = [dep for dep in operands if dep in ups]
+            # one up-sample folds; any other one is built
+            place_ups(held[1:], "another up-sample folds into the conv")
+            up = ups.pop(held[0]) if held else None
             step = _build_mac_step(model, kernel, consumers=consumers,
                                    report=report, absorbed=absorbed,
-                                   concat=concat)
+                                   concat=concat, up=up)
             if step is None:
-                if concat is not None:  # the naive conv reads the concat
-                    steps.append(concat)
-                    built[concat.name] = concat
+                if up is not None:  # the naive conv reads the up-sample
+                    report.fallbacks[up.name] = "its conv keeps its kernel"
+                    place(up)
+                if concat is not None:  # ... and the concat
+                    place(concat)
                 step = _KernelStep(kernel)
 
         elif kernel.supports_lut:
@@ -1126,6 +1302,11 @@ def compile_model(model) -> CompiledPlan:
                 if cast is not None and _push_cast_up(
                         model, built, consumers, dep, cast, kernel):
                     step.parts[i] = (a, b, None)
+            # An up-sample that had to take an operand cast itself is
+            # built.
+            place_ups([dep for dep in kernel.input_names
+                       if dep in ups and ups[dep].cast is not None],
+                      "up-sample cast cannot be pushed up")
             # Cast-free and read by one conv only: never built, the conv
             # contracts each operand separately (split-K).
             outs = consumers.get(kernel.name, [])
@@ -1133,6 +1314,7 @@ def compile_model(model) -> CompiledPlan:
                     and all(cast is None for _, _, cast in step.parts)):
                 concats[kernel.name] = step
                 continue
+            place_ups(kernel.input_names, "the concat it feeds keeps a cast")
 
         elif isinstance(kernel, MaxPoolKernel):
             step = _MaxPoolStep(
@@ -1141,6 +1323,20 @@ def compile_model(model) -> CompiledPlan:
         elif isinstance(kernel, UpSampleKernel):
             step = _UpSampleStep(
                 kernel, _producer_fmt(model, kernel.input_names[0]))
+            reason = _fold_refusal(kernel, consumers)
+            if (reason is None and step.cast is not None
+                    and _push_cast_up(model, built, consumers,
+                                      kernel.input_names[0], step.cast,
+                                      kernel)):
+                step.cast = None
+            if reason is None and step.cast is None:
+                built[step.name] = step
+                ups[step.name] = step
+                continue
+            if reason is None:
+                reason = "up-sample cast cannot be pushed up"
+            if reason:
+                report.fallbacks[kernel.name] = reason
 
         elif isinstance(kernel, (FlattenKernel, ReshapeKernel, LinearKernel)):
             step = (_AliasStep(kernel) if not kernel.requantize
@@ -1152,8 +1348,8 @@ def compile_model(model) -> CompiledPlan:
                 f"no lowering for kind {kernel.kind!r}")
             step = _KernelStep(kernel)
 
-        steps.append(step)
-        built[step.name] = step
+        place(step)
+    assert not ups, f"up-samples neither folded nor built: {sorted(ups)}"
 
     # Fused steps absorbed downstream kernels that already had an entry
     # scheduled?  No: absorption is decided before the absorbed kernel is
@@ -1172,7 +1368,7 @@ def compile_model(model) -> CompiledPlan:
             prod = built.get(dep)
             if prod is None or prod.heap_output or prod.aliases_input:
                 continue
-            pad = step.conv["pad"]
+            pad = step.in_pads[i]
             if claimed.setdefault(dep, pad) == pad:
                 prod.pad = pad
                 step.reads_padded[i] = True

@@ -315,22 +315,28 @@ class StreamClient:
                  connect_timeout_s: float = 30.0):
         self.sock = socket.create_connection((host, port),
                                              timeout=connect_timeout_s)
-        # Frames stream back-to-back as small writes; without NODELAY
-        # Nagle parks each one behind the previous write's unACKed tail
-        # for up to a delayed-ACK interval.
-        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self.sock.setblocking(False)
         self._sel = selectors.DefaultSelector()
-        self._sel.register(self.sock, selectors.EVENT_READ)
         self._decoder = MessageDecoder()
         self.results: Dict[int, np.ndarray] = {}
         self.shed: List[int] = []
         self.errors: List[str] = []
         self.eos_seen = False
         self._next_seq = 0
-        self._send_all(pack_hello(stream_id))
-        self.stream_id, self.n_monitors = self._await_welcome(
-            connect_timeout_s)
+        try:
+            # Frames stream back-to-back as small writes; without NODELAY
+            # Nagle parks each one behind the previous write's unACKed
+            # tail for up to a delayed-ACK interval.
+            self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self.sock.setblocking(False)
+            self._sel.register(self.sock, selectors.EVENT_READ)
+            self._send_all(pack_hello(stream_id))
+            self.stream_id, self.n_monitors = self._await_welcome(
+                connect_timeout_s)
+        except BaseException:
+            # A refused HELLO (draining, stream id in use) must not leave
+            # the socket for the garbage collector to find.
+            self.close()
+            raise
 
     # -- plumbing ------------------------------------------------------
     def _wait_io(self, timeout_s: float, *, write: bool = False) -> None:

@@ -29,6 +29,7 @@ Design rules:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -174,8 +175,9 @@ class HubDelayFault(FaultSpec):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.delay_s < 0:
-            raise ValueError("delay_s must be >= 0")
+        if not (math.isfinite(self.delay_s) and self.delay_s >= 0):
+            raise ValueError(
+                f"delay_s must be finite and >= 0, got {self.delay_s}")
 
     def events(self, frame_index, rng):
         target = -1 if self.hub is None else self.hub
@@ -233,8 +235,9 @@ class IPHangFault(FaultSpec):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.extra_s < 0:
-            raise ValueError("extra_s must be >= 0")
+        if not (math.isfinite(self.extra_s) and self.extra_s >= 0):
+            raise ValueError(
+                f"extra_s must be finite and >= 0, got {self.extra_s}")
 
     def events(self, frame_index, rng):
         return [FaultEvent(frame_index, FaultKind.IP_HANG,

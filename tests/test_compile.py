@@ -14,9 +14,12 @@ the outside:
 * a batch-norm kernel left in the design runs as its naive kernel, at
   wide formats and at the paper's 16 bits,
 * convs lower to per-tap GEMMs reading their producers' zero-edged
-  buffers, with the decoder concats folded in; the plan is a pure
+  buffers, with the decoder concats folded in as split-K and the
+  decoder up-samples as output phases (or refused, with the reason
+  recorded, and built); the plan is a pure
   function of the model, holds scratch sized by the largest batch seen,
-  pickles, and leaves scipy unimported when it has no conv,
+  pickles, imports scipy's BLAS when built or unpickled and leaves it
+  unimported when it has no conv,
 * the compile levels (0 and 2 only), the arena planner, ``RunStats``
   telemetry and the CLI ``--compile-level`` plumbing behave as
   documented.
@@ -36,15 +39,18 @@ from repro.fixed import FixedPointFormat, Overflow, Rounding
 from repro.hls import HLSConfig, convert
 from repro.hls.compile import _LUTStep, _build_lut, _lut_span_ok
 from repro.nn import (
+    AveragePooling1D,
     BatchNormalization,
     Concatenate,
     Conv1D,
     Dense,
     Flatten,
     Input,
+    MaxPooling1D,
     Model,
     ReLU,
     Sigmoid,
+    UpSampling1D,
 )
 from repro.soc.board import AchillesBoard
 from repro.soc.faults import FaultInjector, HubDelayFault, NoisyMonitorFault
@@ -129,6 +135,17 @@ class TestLUTExhaustive:
     def test_unet_every_activation_every_raw_word(self, unet_naive):
         self._check_all_raw_words(unet_naive)
 
+    def test_word_outside_the_format_raises(self, unet_naive):
+        """The gather takes in wrap mode after an explicit range check: a
+        word one past either end of the producer format is refused, not
+        wrapped onto the other end of the table."""
+        kernel, in_fmt = _lut_kernels(unet_naive)[0]
+        step = _LUTStep(kernel, in_fmt, _build_lut(kernel, in_fmt))
+        for raw in (in_fmt.raw_min - 1, in_fmt.raw_max + 1):
+            x = np.full((1, 3), raw * in_fmt.lsb)
+            with pytest.raises(IndexError):
+                step.run([x], np.empty_like(x))
+
     def test_mlp_every_activation_every_raw_word(self, mlp_compiled):
         self._check_all_raw_words(mlp_compiled)
 
@@ -184,27 +201,42 @@ def _plan_signature(plan):
     for step in plan.steps:
         arrays = {k: v for k, v in vars(step).items()
                   if isinstance(v, np.ndarray)}
-        taps = [w for operand in getattr(step, "w_taps", []) for w in operand]
+        taps = [(r, e, w.tobytes())
+                for operand in getattr(step, "w_taps", [])
+                for r, e, w in operand]
         sig.append((type(step).__name__, step.name, step.inputs, step.pad,
                     step.reads_padded, step.covers, getattr(step, "conv", None),
-                    {k: v.tobytes() for k, v in arrays.items()},
-                    [w.tobytes() for w in taps]))
+                    getattr(step, "in_pads", None),
+                    {k: v.tobytes() for k, v in arrays.items()}, taps))
     return sig
 
 
 class TestConvLowering:
     def test_decoder_concats_fold_into_their_convs(self, unet_compiled):
+        """Both decoder convs read the low-resolution stream (the
+        up-sample folds in as output phases) and the skip (the concat
+        folds in as split-K); neither routing step is built."""
         plan = unet_compiled.compiled_plan
         kinds = {type(step).__name__ for step in plan.steps}
-        assert "_ConcatStep" not in kinds and "_KernelStep" not in kinds
+        assert not kinds & {"_ConcatStep", "_KernelStep", "_UpSampleStep"}
         convs = {step.name: step for step in plan.steps
                  if getattr(step, "conv", None)}
-        assert convs["dec2_relu"].inputs == ["dec2_up", "enc2_relu"]
-        assert convs["dec1_relu"].inputs == ["dec1_up", "enc1_relu"]
-        assert convs["dec2_relu"].covers[0] == "dec2_concat"
+        assert convs["dec2_relu"].inputs == ["bottleneck_relu", "enc2_relu"]
+        assert convs["dec1_relu"].inputs == ["dec2_relu", "enc1_relu"]
+        for level in (1, 2):
+            step = convs[f"dec{level}_relu"]
+            assert step.covers[:3] == [f"dec{level}_up", f"dec{level}_concat",
+                                       f"dec{level}_conv"]
+            assert step.conv["up"] == (0, 2)
+            # s = 2, k = 3, pad (1, 1): 4 GEMMs over the low-res rows
+            # (W0 | W1+W2 and W0+W1 | W2) and 3 over the skip
+            assert [(r, e) for r, e, _ in step.w_taps[0]] == [
+                (0, 0), (0, 1), (1, 1), (1, 2)]
+            assert len(step.w_taps[1]) == 3
         for step in convs.values():
             assert step.conv["formulation"] == "per_tap"
             assert all(step.reads_padded), step.name  # no pad copy
+        assert unet_compiled.compiled_plan.report.fallbacks == {}
 
     def test_compiling_twice_yields_identical_plans(self, ref_bundle):
         from repro.experiments.common import reference_configs
@@ -266,6 +298,70 @@ class TestConvLowering:
             assert np.array_equal(hm.predict(x[:n]),
                                   hm.predict(x[:n], executor="naive")), n
 
+    def test_inexact_partial_sums_fall_back_with_their_up_sample(self):
+        """The same refused conv with an up-sample among its operands:
+        the up-sample it would have folded is built too, ahead of the
+        concat."""
+        grid = FixedPointFormat(16, 20)
+        inp = Input((16, 1), name="in")
+        a = MaxPooling1D(2, name="p")(ReLU(name="a")(inp))
+        cat = Concatenate(name="cat")(UpSampling1D(2, name="u")(a),
+                                      ReLU(name="b")(inp))
+        out = Flatten(name="f")(Conv1D(2, 3, seed=0, name="c")(cat))
+        model = Model(inp, out)
+        conv = next(layer for layer in model.layers if layer.name == "c")
+        conv.params["kernel"] = np.full((3, 2, 2), 0.25)
+        conv.params["bias"] = np.array([0.5 + 3 * 2.0**-36,
+                                        -0.25 - 5 * 2.0**-36])
+        cfg = HLSConfig()
+        for name in ("in", "a", "p", "u", "b", "cat"):
+            cfg.set_layer(name, result=grid)
+        cfg.set_layer("c", weight=FixedPointFormat(48, 12))
+
+        hm = convert(model, cfg)
+        report = hm.compile(level=2)
+        assert report.fallbacks["c"] == "conv partial sums leave exact window"
+        assert report.fallbacks["u"] == "its conv keeps its kernel"
+        kinds = [(type(step).__name__, step.name)
+                 for step in hm.compiled_plan.steps]
+        assert kinds.index(("_UpSampleStep", "u")) \
+            < kinds.index(("_ConcatStep", "cat")) \
+            < kinds.index(("_KernelStep", "c"))
+        x = np.random.default_rng(3).normal(0.0, 2.0**17, size=(7, 16, 1))
+        for n in (1, 2, 7):
+            assert np.array_equal(hm.predict(x[:n]),
+                                  hm.predict(x[:n], executor="naive")), n
+
+    def test_one_up_sample_folds_per_conv(self, rng):
+        """Two cast-free up-samples into one concat: the first folds as
+        output phases, the second is built and read at full resolution;
+        an average pool (a naive kernel) cannot write zero edges, so the
+        phased operand is copied into the conv's own edged scratch."""
+        inp = Input((12, 1), name="in")
+        x = ReLU(name="r")(Conv1D(3, 3, seed=1, name="c0")(inp))
+        lo = AveragePooling1D(2, name="avg")(x)
+        cat = Concatenate(name="cat")(UpSampling1D(2, name="u1")(lo),
+                                      UpSampling1D(2, name="u2")(
+                                          MaxPooling1D(2, name="max")(x)),
+                                      x)
+        y = ReLU(name="r1")(Conv1D(4, 5, seed=2, name="c1")(cat))
+        model = Model(inp, Flatten(name="f")(y))
+        hm = convert(model, HLSConfig())
+        report = hm.compile(level=2)
+        assert report.fallbacks["u2"] == "another up-sample folds into the conv"
+        steps = {step.name: step for step in hm.compiled_plan.steps}
+        assert "u1" not in steps and "u2" in steps
+        conv = steps["r1"]
+        assert conv.inputs == ["avg", "u2", "r"]
+        assert conv.covers[:3] == ["u1", "cat", "c1"]
+        assert conv.conv["up"] == (0, 2)
+        assert conv.in_pads == [(1, 1), (2, 2), (2, 2)]
+        assert conv.reads_padded == [False, True, True]
+        x = rng.normal(0.0, 2.0, size=(33, 12, 1))
+        for n in (1, 2, 7, 33):
+            assert np.array_equal(hm.predict(x[:n]),
+                                  hm.predict(x[:n], executor="naive")), n
+
     def test_compiled_unet_pickles(self, unet_compiled, unet_frames):
         want = unet_compiled.predict(unet_frames)  # scratch + BLAS live
         clone = pickle.loads(pickle.dumps(unet_compiled))
@@ -283,6 +379,32 @@ class TestConvLowering:
             "assert rt.board.ip.hls_model.compile_level == 2\n"
             "run_closed_loop(rt, plant.session(0), 20, seed=1)\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True, timeout=300,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "[]"
+
+    def test_unpickled_conv_plan_imports_blas_before_its_first_step(
+            self, tiny_model, tmp_path):
+        """A fresh worker unpickles its plan and then runs it: the BLAS
+        import lands in the unpickle, so the first profiled ``predict``
+        imports nothing and no step's time holds an import."""
+        model = convert(tiny_model, HLSConfig())
+        model.compile(level=2)
+        path = tmp_path / "model.pkl"
+        path.write_bytes(pickle.dumps(model))
+        code = (
+            "import pickle, sys\n"
+            "import numpy as np\n"
+            f"model = pickle.loads(open({str(path)!r}, 'rb').read())\n"
+            "assert 'scipy.linalg.blas' in sys.modules\n"
+            "before = set(sys.modules)\n"
+            "model.predict(np.zeros((2,) + tuple(model.input_shape)),\n"
+            "              profile=True)\n"
+            "assert 'r1' in model.last_run_stats.step_times  # c1 + r1\n"
+            "print(sorted(set(sys.modules) - before))\n"
         )
         src = str(Path(repro.__file__).resolve().parents[1])
         out = subprocess.run([sys.executable, "-c", code], check=True,

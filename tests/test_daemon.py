@@ -22,9 +22,11 @@ No pytest-asyncio: the daemon runs on its own background loop thread
 via :class:`DaemonHandle`, and tests drive it synchronously.
 """
 
+import gc
 import os
 import signal
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -497,6 +499,21 @@ class TestDaemonEndToEnd:
             raw.close()
             assert msg is not None and msg[0] == MsgKind.ERROR
             assert b"HELLO" in msg[1]
+
+    def test_refused_client_closes_its_socket(self, tiny_hls):
+        # A HELLO the daemon refuses raises from the client's
+        # constructor; the socket it opened is closed there, not left
+        # for the garbage collector to warn about.
+        with launch(tiny_hls) as handle:
+            c = handle.client(stream_id=3)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ResourceWarning)
+                with pytest.raises(ProtocolError, match="already in use"):
+                    handle.client(stream_id=3)
+                gc.collect()
+            c.close()
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)], caught
 
     def test_unknown_protocol_version_refused_cleanly(self, tiny_hls):
         # A HELLO advertising a future repro-serve version gets a clean

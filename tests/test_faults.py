@@ -60,6 +60,13 @@ class TestSpecs:
         with pytest.raises(ValueError):
             IPHangFault(extra_s=-1e-3)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("spec, field", [(IPHangFault, "extra_s"),
+                                             (HubDelayFault, "delay_s")])
+    def test_non_finite_timing_refused(self, spec, field, bad):
+        with pytest.raises(ValueError, match=field):
+            spec(**{field: bad})
+
     def test_window_active(self):
         spec = LostIRQFault(start=10, stop=20)
         assert not spec.active(9)

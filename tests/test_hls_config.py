@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.fixed import FixedPointFormat, Overflow
 from repro.hls.config import (
@@ -18,7 +16,7 @@ from repro.hls.precision import (
     layer_based_config,
     uniform_config,
 )
-from repro.hls.profiling import LayerProfile, _abs_peak_p99, profile_model
+from repro.hls.profiling import LayerProfile, _abs_peak, profile_model
 from repro.nn import Dense, Input, Model, ReLU, Sigmoid
 
 
@@ -133,8 +131,25 @@ class TestProfiling:
 
     def test_profile_validation(self):
         with pytest.raises(ValueError):
-            LayerProfile(max_abs_output=-1, max_abs_weight=0,
-                         output_percentile_99=0)
+            LayerProfile(max_abs_output=-1, max_abs_weight=0)
+
+    @pytest.mark.parametrize("name, make", [
+        ("constant", lambda r: np.full(5000, 3.25)),
+        ("constant-negative", lambda r: np.full((7, 13, 5), -2.0)),
+        ("all-zero", lambda r: np.zeros(20_000)),
+        ("n=1", lambda r: np.array([-4.5])),
+        ("n=2", lambda r: np.array([1.0, -3.0])),
+        ("n=3", lambda r: np.array([0.5, -3.0, 2.0])),
+        ("ties-at-threshold",
+         lambda r: r.integers(-3, 4, size=100_000).astype(float)),
+        ("negative-heavy", lambda r: r.normal(-5.0, 1.0, size=(64, 130, 8))),
+        ("relu-like", lambda r: np.maximum(r.normal(size=(32, 260, 40)), 0)),
+        ("relu-sparse", lambda r: np.maximum(r.normal(-2.5, 1.0, 80_000), 0)),
+        ("heavy-tail", lambda r: r.standard_cauchy(size=50_000)),
+    ])
+    def test_peak_matches_numpy(self, name, make):
+        a = make(np.random.default_rng(7))
+        assert np.float64(_abs_peak(a)).tobytes() == np.abs(a).max().tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_input_names_first_layer(self, bad):
@@ -152,66 +167,6 @@ class TestProfiling:
         with np.errstate(all="ignore"), \
                 pytest.raises(ValueError, match="layer 'h'"):
             profile_model(m, x, batch_size=2)
-
-
-def _assert_p99_matches_numpy(a):
-    peak, p99 = _abs_peak_p99(np.asarray(a, dtype=np.float64))
-    ref = np.percentile(np.abs(a), 99)
-    assert np.float64(p99).tobytes() == ref.tobytes(), (p99, ref)
-    assert peak == np.abs(a).max()
-
-
-class TestTailSelectPercentile:
-    """``output_percentile_99`` comes from the top tail only; it must
-    equal ``np.percentile(np.abs(out), 99)`` bit for bit."""
-
-    @pytest.mark.parametrize("name, make", [
-        ("constant", lambda r: np.full(5000, 3.25)),
-        ("constant-negative", lambda r: np.full((7, 13, 5), -2.0)),
-        ("all-zero", lambda r: np.zeros(20_000)),
-        ("n=1", lambda r: np.array([-4.5])),
-        ("n=2", lambda r: np.array([1.0, -3.0])),
-        ("n=3", lambda r: np.array([0.5, -3.0, 2.0])),
-        ("ties-at-threshold",
-         lambda r: r.integers(-3, 4, size=100_000).astype(float)),
-        ("negative-heavy", lambda r: r.normal(-5.0, 1.0, size=(64, 130, 8))),
-        ("relu-like", lambda r: np.maximum(r.normal(size=(32, 260, 40)), 0)),
-        ("relu-sparse", lambda r: np.maximum(r.normal(-2.5, 1.0, 80_000), 0)),
-        ("heavy-tail", lambda r: r.standard_cauchy(size=50_000)),
-    ])
-    def test_matches_numpy(self, name, make):
-        _assert_p99_matches_numpy(make(np.random.default_rng(7)))
-
-    def test_upper_half_interpolates_from_the_upper_rank(self):
-        # numpy interpolates back from the upper order statistic when the
-        # fractional rank is >= 0.5; here that differs from interpolating
-        # forward from the lower one in the last bit.
-        a = np.random.default_rng(1).normal(size=106)
-        gamma = (106 - 1) * 0.99 - 103
-        lo, hi = np.sort(np.abs(a))[103:105]
-        assert gamma >= 0.5
-        assert lo + (hi - lo) * gamma != hi - (hi - lo) * (1 - gamma)
-        _assert_p99_matches_numpy(a)
-
-    def test_misleading_sample_falls_back(self):
-        # Every sampled element is huge, so the sampled threshold keeps
-        # far fewer than 1 % of the elements: the full partition runs.
-        a = np.random.default_rng(3).normal(size=100_000)
-        a[::61] = 1e6 + np.arange(a[::61].size)
-        _assert_p99_matches_numpy(a)
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 5000), st.integers(0, 2**32 - 1),
-           st.sampled_from(["normal", "ints", "relu", "negative"]))
-    def test_property(self, n, seed, family):
-        rng = np.random.default_rng(seed)
-        a = {
-            "normal": lambda: rng.normal(size=n),
-            "ints": lambda: rng.integers(-2, 3, size=n).astype(float),
-            "relu": lambda: np.maximum(rng.normal(size=n), 0.0),
-            "negative": lambda: -np.abs(rng.normal(size=n)) * 1e3,
-        }[family]()
-        _assert_p99_matches_numpy(a)
 
 
 class TestLayerBasedConfig:

@@ -118,28 +118,36 @@ QUANT_MODES = [(r, o) for r in Rounding for o in Overflow]
 
 #: Seeds of the generated conv graphs (a fixed slice, so tier-1 stays
 #: deterministic).
-CONV_GRAPH_SEEDS = list(range(48))
+CONV_GRAPH_SEEDS = list(range(64))
+
+#: How a decoder level's up-sample meets its conv: through the skip
+#: concat, straight in, or (refused, the up-sample is built) with a
+#: second reader, with a cast no producer can take, or into a valid conv.
+UP_FOLDS = ["concat", "concat", "direct", "second", "cast", "valid"]
 
 
 def build_conv_graph(seed):
     """A seeded U-Net-like conv graph and its config, for the
     compiled-vs-naive differential test.
 
-    1–3 levels of ``same`` convs with max-pooling (average pooling on
-    some levels: a naive kernel whose output the next conv must copy
-    into its own zero-edged buffer), up-sampling and a skip concat into
-    every decoder conv (split-K), plus a stem and a head conv that may be
-    ``valid``; kernel sizes from {1, 2, 3, 5}.  Result formats cycle
-    through every rounding × overflow mode, the stem's weights have zero
-    integer bits, and some convs get a narrow truncating accumulator.
+    1–3 levels of ``same`` convs with max-pooling by 2 or 3 (average
+    pooling on some levels: a naive kernel whose output the next conv
+    must copy into its own zero-edged buffer), then up-sampling by the
+    same factor into every decoder conv, in one of the :data:`UP_FOLDS`
+    ways (a skip concat folds in as split-K), plus a stem and a head conv
+    that may be ``valid``; kernel sizes from {1, 2, 3, 5}.  Result
+    formats cycle through every rounding × overflow mode, the stem's
+    weights have zero integer bits, and some convs get a narrow
+    truncating accumulator.
     """
     rng = np.random.default_rng(seed)
     ksize = lambda: int(rng.choice([1, 2, 3, 5]))
     chans = lambda: int(rng.integers(1, 6))
     padding = lambda: str(rng.choice(["same", "valid"]))
     levels = int(rng.integers(1, 4))
+    factors = [int(rng.choice([2, 2, 3])) for _ in range(levels)]
     stem_k, stem_pad = ksize(), padding()
-    length = 2 ** levels * int(rng.integers(2, 5))
+    length = int(np.prod(factors)) * int(rng.integers(2, 5))
     inp = Input((length + (stem_k - 1) * (stem_pad == "valid"), 1),
                 name="in")
     x = Conv1D(chans(), stem_k, padding=stem_pad, seed=seed, name="stem")(inp)
@@ -149,19 +157,40 @@ def build_conv_graph(seed):
         x = ReLU(name=f"e{i}_act")(x)
         skips.append(x)
         pool = MaxPooling1D if rng.random() < 0.7 else AveragePooling1D
-        x = pool(2, name=f"e{i}_pool")(x)
+        x = pool(factors[i], name=f"e{i}_pool")(x)
     x = Conv1D(chans(), ksize(), seed=seed + 5, name="mid_conv")(x)
     x = ReLU(name="mid_act")(x)
     sources = {}  # routing layer -> the layer whose grid it may keep
+    recast = set()  # up-samples whose grid must differ from their source
     for i in reversed(range(levels)):
+        fold = str(rng.choice(UP_FOLDS))
         sources[f"d{i}_up"] = x.layer.name
         sources[f"d{i}_cat"] = f"e{i}_act"
-        x = UpSampling1D(2, name=f"d{i}_up")(x)
-        x = Concatenate(name=f"d{i}_cat")(x, skips[i])
-        x = Conv1D(chans(), ksize(), seed=seed + 9 + i, name=f"d{i}_conv")(x)
+        up = UpSampling1D(factors[i], name=f"d{i}_up")(x)
+        operands = [up, skips[i]]
+        if fold == "direct":
+            operands = [up]
+        elif fold == "second":
+            operands.append(Conv1D(chans(), 1, seed=seed + 17 + i,
+                                   name=f"d{i}_side")(up))
+        elif fold == "cast":
+            # a second up-sample of the same stream: the first one's
+            # producer has two readers, so its cast cannot move up
+            recast.add(f"d{i}_up")
+            sources[f"d{i}_up2"] = x.layer.name
+            operands.append(UpSampling1D(factors[i], name=f"d{i}_up2")(x))
+        if len(operands) > 1:
+            up = Concatenate(name=f"d{i}_cat")(*operands)
+        # a valid conv may shrink the stream only where nothing is
+        # concatenated after it
+        k, pad = ksize(), "same"
+        if fold == "valid":
+            k, pad = (int(rng.choice([2, 3])) if i == 0 else 1), "valid"
+        x = Conv1D(chans(), k, padding=pad, seed=seed + 9 + i,
+                   name=f"d{i}_conv")(up)
         x = ReLU(name=f"d{i}_act")(x)
     head_k, head_pad = ksize(), padding()
-    if head_pad == "valid" and head_k > length:
+    if head_pad == "valid" and head_k > x.shape[0]:
         head_pad = "same"  # a valid conv needs k <= length
     x = Conv1D(2, head_k, padding=head_pad, seed=seed + 13, name="head")(x)
     x = Sigmoid(name="head_act")(x)
@@ -180,6 +209,9 @@ def build_conv_graph(seed):
         # cast it cannot push up, and the concat folds into its conv.
         if layer.name in sources and rng.random() < 0.7:
             results[layer.name] = results[sources[layer.name]]
+        if (layer.name in recast
+                and results[layer.name] == results[sources[layer.name]]):
+            results[layer.name] = FixedPointFormat(width + 2, 7, **fmt)
         kwargs = {"result": results[layer.name]}
         if isinstance(layer, Conv1D):
             integer = 0 if layer.name == "stem" else int(rng.integers(0, 3))
@@ -211,11 +243,14 @@ class TestConvLoweringDifferential:
 
     def test_generator_covers_every_lowering_path(self, graphs):
         """The seed slice reaches split-K, the pad-copy fallback, valid
-        convs, every kernel size and every rounding × overflow mode."""
+        convs, every kernel size, up-sample folds by 2 and 3 with and
+        without a concat, every reason to refuse the fold, and every
+        rounding × overflow mode."""
         seen = set()
         for model, config in graphs.values():
             hm = convert(model, config)
-            hm.compile(level=2)
+            report = hm.compile(level=2)
+            seen.update(("refused", why) for why in report.fallbacks.values())
             for step in hm.compiled_plan.steps:
                 conv = getattr(step, "conv", None)
                 if not conv:
@@ -225,6 +260,8 @@ class TestConvLoweringDifferential:
                 seen.add(("split-K", len(step.inputs) > 1))
                 seen.add(("pad copy", not all(step.reads_padded)))
                 seen.add(("mode", step.mode))
+                if conv["up"] is not None:
+                    seen.add(("fold", conv["up"][1], len(step.inputs) > 1))
             for kernel in hm.kernels:
                 fmt = kernel.config.result
                 seen.add((fmt.rounding, fmt.overflow))
@@ -233,6 +270,12 @@ class TestConvLoweringDifferential:
         for flag in ("valid", "split-K", "pad copy"):
             assert (flag, True) in seen, flag
         assert ("mode", "raw") in seen and ("mode", "naive") in seen
+        for fold in [(2, True), (3, True), (2, False), (3, False)]:
+            assert ("fold",) + fold in seen, fold
+        for why in ("up-sample has a second reader",
+                    "up-sample cast cannot be pushed up",
+                    "up-sample feeds a valid conv"):
+            assert ("refused", why) in seen, why
         for mode in QUANT_MODES:
             assert mode in seen
 
