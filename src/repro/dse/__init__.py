@@ -2,19 +2,18 @@
 
 The paper tuned per-layer ``ac_fixed<16,x>`` integer bits and reuse
 factors by hand against Quartus fit reports.  :mod:`repro.dse`
-automates that loop over every knob this reproduction exposes —
-precision strategy, per-layer integer bits, reuse factors, graph-
-compile level, conv formulation, micro-batch size and shard/worker
-counts — with the pre-fit estimators (:func:`~repro.hls.resources.
+automates that loop over the same co-design knobs — precision
+strategy, margin bits, per-layer integer bits and reuse factors — with
+the pre-fit estimators (:func:`~repro.hls.resources.
 estimate_resources`, :func:`~repro.hls.latency.estimate_latency`)
 filtering out fit-implausible candidates before any of them pays for
 fixed-point simulation.
 
 Everything is reproducible from a single :class:`numpy.random.
 SeedSequence`: scores are pure functions of the candidate and the
-problem seed (simulated node latencies, fixed-point accuracy, and an
-analytic throughput model — never the wall clock), so a seeded rerun
-emits a byte-identical Pareto front.
+problem seed (fixed-point accuracy, simulated node latencies and
+estimated resources — never the wall clock), so a seeded rerun emits a
+byte-identical Pareto front.
 """
 
 from repro.dse.driver import DSEResult, DSESettings, run_dse

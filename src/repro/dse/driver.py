@@ -7,8 +7,8 @@ All three modes share the same shape:
 2. generate a candidate pool (mode-specific),
 3. pre-filter every candidate through the structural estimators (free),
 4. simulate the fit-plausible survivors,
-5. emit the Pareto front over (accuracy, fps, −node p99, −pressure) and
-   a recommended config.
+5. emit the Pareto front over (accuracy, −perturbation, −node p99,
+   −resource pressure) and recommend its lexicographic best.
 
 Determinism contract: every random draw comes from generators spawned
 from ``SeedSequence(settings.seed)`` in a fixed order; scores are pure
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -60,6 +60,9 @@ class DSESettings:
             raise ValueError("budget must be >= 1")
         if self.survivors < 1 or self.mutations < 0:
             raise ValueError("invalid survivors/mutations")
+        if self.screen_frames < 1:
+            raise ValueError(f"screen_frames must be >= 1, "
+                             f"got {self.screen_frames}")
 
 
 @dataclass
@@ -103,15 +106,19 @@ class DSEResult:
         }
 
 
+def _rank(score: CandidateScore) -> Tuple[Tuple[float, ...], str]:
+    """Sort key, best first: the objectives in order, then the key.
+
+    The lexicographic best over the objectives is never dominated, so
+    the recommendation always sits on the Pareto front.
+    """
+    return tuple(-v for v in score.objectives()), score.candidate.key()
+
+
 def _recommend(scores: List[CandidateScore]) -> Optional[CandidateScore]:
-    """Deterministic pick: accuracy, then fps, then latency, then
-    resource headroom, then candidate key."""
+    """The best-ranked feasible score, or None."""
     feasible = [s for s in scores if s.feasible]
-    if not feasible:
-        return None
-    return min(feasible, key=lambda s: (-s.accuracy, -s.fps,
-                                        s.node_p99_ms, s.resource_pressure,
-                                        s.candidate.key()))
+    return min(feasible, key=_rank) if feasible else None
 
 
 def _dedup(candidates: List[Candidate]) -> List[Candidate]:
@@ -198,8 +205,7 @@ def run_dse(problem: DSEProblem,
         survivors = sorted(
             (s for s in round1_scores
              if s.simulated and s.reject_reason is None),
-            key=lambda s: (-s.accuracy, -s.fps, s.node_p99_ms,
-                           s.candidate.key()))[:settings.survivors]
+            key=_rank)[:settings.survivors]
         finalists: List[Candidate] = [s.candidate for s in survivors]
         for s in survivors:
             for _ in range(settings.mutations):

@@ -15,12 +15,11 @@ Every number is a pure function of (candidate, problem seed):
 
 * accuracy — bit-exact fixed-point arithmetic;
 * node latency — the board's *simulated* latency model (seeded jitter);
-* throughput — an analytic service model over the deterministic
-  micro-batch plans of :mod:`repro.serve.batching` (constants below,
-  calibrated once against the measured bench fps ladder).
+* resources — the structural estimator's utilisation fractions.
 
 The wall clock never enters a score, so a seeded rerun reproduces the
-Pareto front byte for byte.
+Pareto front byte for byte.  Host serving throughput is not scored: no
+hardware model predicts it, so serving knobs are chosen by measurement.
 """
 
 from __future__ import annotations
@@ -39,61 +38,10 @@ from repro.hls.converter import convert
 from repro.hls.profiling import profile_model
 from repro.hls.resources import estimate_resources
 from repro.plants import BeamLossPlant, Plant
-from repro.serve.batching import (BatchingPolicy, backlog_arrivals,
-                                  plan_microbatches, stream_arrivals)
 from repro.verify.comparators import close_enough_accuracy
 
-__all__ = ["ServiceModel", "CandidateScore", "DSEProblem",
-           "score_candidate", "unet_problem", "open_loop_problem",
-           "plant_problem"]
-
-
-@dataclass(frozen=True)
-class ServiceModel:
-    """Calibrated wall-cost constants of the serving stack.
-
-    Fitted once against the committed bench ladder (sequential ≈116 fps,
-    batched naive ≈340 fps, compiled ≈550 fps on the reference runner);
-    they parameterise an *analytic* throughput model of the compiled
-    plan — the DSE never times anything.
-    """
-
-    #: Fixed dispatch cost per micro-batch (plan + fast-path setup).
-    dispatch_overhead_s: float = 6.0e-3
-    #: Marginal per-frame cost inside a batch on the compiled plan: the
-    #: 2.6 ms naive fit scaled by 0.93, the modelled conv-lowering factor,
-    #: over the compiled plan's modelled 1.7x speedup.
-    marginal_frame_cost_s: float = 2.418e-3 / 1.7
-    #: Throughput scaling per extra busy worker (pool overheads).
-    worker_efficiency: float = 0.85
-
-    def throughput_fps(self, n_frames: int, candidate: Candidate) -> float:
-        """Modeled backlog (replay) throughput of the sharded farm."""
-        policy = BatchingPolicy(max_batch=candidate.batch_size)
-        plan = plan_microbatches(backlog_arrivals(n_frames), policy)
-        marginal = self.marginal_frame_cost_s
-        shard_total = sum(self.dispatch_overhead_s + (stop - start) * marginal
-                          for start, stop in plan)
-        shard_fps = n_frames / shard_total
-        busy = 1 if candidate.workers == 0 else min(candidate.n_shards,
-                                                    candidate.workers)
-        return shard_fps * (1.0 + (busy - 1) * self.worker_efficiency)
-
-    def served_latency_s(self, node_latencies_s: np.ndarray,
-                         candidate: Candidate) -> np.ndarray:
-        """Per-frame served latency on a live per-shard 3 ms stream:
-        micro-batch queueing wait + the frame's simulated node latency."""
-        n = len(node_latencies_s)
-        arrivals = stream_arrivals(n)
-        policy = BatchingPolicy(max_batch=candidate.batch_size)
-        waits = np.zeros(n)
-        for start, stop in plan_microbatches(arrivals, policy):
-            dispatch_t = arrivals[stop - 1]
-            waits[start:stop] = dispatch_t - arrivals[start:stop]
-        return waits + np.asarray(node_latencies_s, dtype=np.float64)
-
-
-DEFAULT_SERVICE_MODEL = ServiceModel()
+__all__ = ["CandidateScore", "DSEProblem", "score_candidate",
+           "unet_problem", "open_loop_problem", "plant_problem"]
 
 
 def _nearest_rank(values: np.ndarray, q: float) -> float:
@@ -116,9 +64,7 @@ class CandidateScore:
     reject_reason: Optional[str] = None
     accuracy: float = 0.0
     accuracy_by_machine: Dict[str, float] = field(default_factory=dict)
-    fps: float = 0.0
     node_p99_ms: float = math.nan
-    served_p99_ms: float = math.nan
     est_ip_latency_ms: float = math.nan
     alut_fraction: float = math.nan
     register_fraction: float = math.nan
@@ -139,9 +85,15 @@ class CandidateScore:
         return (self.simulated and self.fits and self.est_latency_ok
                 and self.reject_reason is None)
 
-    def objectives(self) -> Tuple[float, float, float, float]:
-        """Maximise: accuracy, fps, −node p99, −resource pressure."""
-        return (round(self.accuracy, 9), round(self.fps, 6),
+    def objectives(self) -> Tuple[float, int, float, float]:
+        """Maximise: accuracy, −perturbation, −node p99, −resource
+        pressure.
+
+        Margin bits and ±1 deltas move integer bits at a fixed width, so
+        they rarely move latency or resources; ranked before p99, a
+        perturbation is adopted only when it buys accuracy.
+        """
+        return (round(self.accuracy, 9), -self.candidate.perturbation,
                 round(-self.node_p99_ms, 6),
                 round(-self.resource_pressure, 6))
 
@@ -158,9 +110,7 @@ class CandidateScore:
             "accuracy": r(self.accuracy),
             "accuracy_by_machine": {k: r(v) for k, v in
                                     sorted(self.accuracy_by_machine.items())},
-            "fps": r(self.fps),
             "node_p99_ms": r(self.node_p99_ms),
-            "served_p99_ms": r(self.served_p99_ms),
             "est_ip_latency_ms": r(self.est_ip_latency_ms),
             "alut_fraction": r(self.alut_fraction),
             "register_fraction": r(self.register_fraction),
@@ -194,7 +144,6 @@ class DSEProblem:
     frames: Optional[np.ndarray] = None
     x_eval: Optional[np.ndarray] = None
     y_float: Optional[np.ndarray] = None
-    service: ServiceModel = field(default_factory=ServiceModel)
     converted_lookup: Optional[Callable[[Candidate], Optional[HLSModel]]] = None
 
     @property
@@ -214,9 +163,15 @@ def _converted_for(problem: DSEProblem, candidate: Candidate) -> HLSModel:
 
 def score_candidate(problem: DSEProblem, candidate: Candidate,
                     eval_frames: Optional[int] = None) -> CandidateScore:
-    """Score one candidate (pre-filter, then simulate if plausible)."""
+    """Score one candidate (pre-filter, then simulate if plausible).
+
+    ``eval_frames`` caps the simulated frames (default: the problem's);
+    0 stops after the estimators, a screening pass.
+    """
     from repro.core.api import RuntimeConfig, build_runtime, run_control_loop
 
+    if eval_frames is not None and eval_frames < 0:
+        raise ValueError(f"eval_frames must be >= 0, got {eval_frames}")
     hls = _converted_for(problem, candidate)
     resources = estimate_resources(hls, problem.constraints.device)
     latency = estimate_latency(hls)
@@ -281,9 +236,6 @@ def score_candidate(problem: DSEProblem, candidate: Candidate,
 
     node_lats = np.array([r.node_latency_s for r in records])
     score.node_p99_ms = _nearest_rank(node_lats, 0.99) * 1e3
-    served = problem.service.served_latency_s(node_lats, candidate)
-    score.served_p99_ms = _nearest_rank(served, 0.99) * 1e3
-    score.fps = problem.service.throughput_fps(n_eval, candidate)
     score.simulated = True
 
     if score.accuracy < problem.constraints.accuracy_floor:
@@ -297,6 +249,13 @@ def score_candidate(problem: DSEProblem, candidate: Candidate,
 # ----------------------------------------------------------------------
 # Problem constructors
 # ----------------------------------------------------------------------
+def _require_frames(**counts: int) -> None:
+    """Refuse a frame count below 1, naming its keyword."""
+    for name, n in counts.items():
+        if n < 1:
+            raise ValueError(f"{name} must be >= 1, got {n}")
+
+
 def open_loop_problem(model, x_profile: np.ndarray, *,
                       plant: Optional[Plant] = None,
                       constraints: Optional[DesignConstraints] = None,
@@ -308,6 +267,7 @@ def open_loop_problem(model, x_profile: np.ndarray, *,
     *x_profile* is model-shaped; the runtime sees the same frames
     flattened to raw monitor rows (hub ingestion is 2-D).
     """
+    _require_frames(eval_frames=eval_frames)
     plant = plant or BeamLossPlant()
     x_profile = np.asarray(x_profile, dtype=np.float64)
     if profiles is None:
@@ -331,9 +291,10 @@ def unet_problem(*, fast: bool = False,
     from repro.dse.space import REFERENCE_STRATEGIES
     from repro.experiments import common
 
+    n = eval_frames if eval_frames is not None else (48 if fast else 200)
+    _require_frames(eval_frames=n)
     b = common.bundle()
     profiles = common.unet_profiles()
-    n = eval_frames if eval_frames is not None else (48 if fast else 200)
     frames = np.asarray(b.dataset.x_eval[:n], dtype=np.float64)
     x_eval = b.dataset.unet_inputs(frames)
     titles = dict(zip(REFERENCE_STRATEGIES,
@@ -369,6 +330,7 @@ def plant_problem(plant: Plant, *,
     through a seeded episode (``session.step_output`` feedback), so the
     layer-based strategy sees realistic closed-loop activations.
     """
+    _require_frames(eval_frames=eval_frames, profile_frames=profile_frames)
     model = plant.default_model()
     session = plant.session(seed)
     states: List[np.ndarray] = []

@@ -1,11 +1,10 @@
-"""The joint knob space: candidates, sampling, grids, mutations.
+"""The co-design knob space: candidates, sampling, grids, mutations.
 
-A :class:`Candidate` is one point in the joint space of every knob the
-paper turns by hand (Section IV): precision strategy and per-layer
-integer bits, reuse factors, plus the reproduction's serving knobs
-(micro-batch size, shard and worker counts).  Every candidate runs on
-the compiled plan: accuracy, simulated latency and resources do not
-depend on the compiler, and modelled throughput only rises with it.
+A :class:`Candidate` is one point in the space of the knobs the paper
+turns by hand (Section IV): precision strategy, per-layer integer bits
+and the two reuse factors.  Serving knobs (batch size, shard and
+worker counts) are not searched: no hardware model predicts them, so
+they are chosen by measuring the serving host.
 :class:`SearchSpace` enumerates/samples candidates deterministically —
 grids never touch an RNG, and random sampling draws only from
 generators handed in by the driver (all spawned from one
@@ -44,12 +43,13 @@ def _parse_strategy(strategy: str) -> Tuple[str, int, int]:
 
 @dataclass(frozen=True)
 class Candidate:
-    """One point in the joint quantization/reuse/serving knob space.
+    """One point in the quantization/reuse knob space.
 
     ``layer_deltas`` perturbs the layer-based strategy's profiled
     per-layer integer bits by ±1 — the resolution the paper's own
     margin-bit experiment (Fig 5b) works at — and is ignored (and
     canonicalised away) for uniform strategies, as is ``margin_bits``.
+    The defaults are the paper's deployed design.
     """
 
     strategy: str = "layer-based"
@@ -57,9 +57,6 @@ class Candidate:
     layer_deltas: Tuple[Tuple[str, int], ...] = ()
     default_reuse: int = 32
     dense_sigmoid_reuse: int = DENSE_SIGMOID_REUSE
-    batch_size: int = 16
-    n_shards: int = 4
-    workers: int = 4
 
     def __post_init__(self) -> None:
         _parse_strategy(self.strategy)  # validate
@@ -81,6 +78,12 @@ class Candidate:
                 and self.default_reuse == 32
                 and self.dense_sigmoid_reuse == DENSE_SIGMOID_REUSE)
 
+    @property
+    def perturbation(self) -> int:
+        """Integer bits moved off the profiled design: margin bits plus
+        every layer delta's magnitude (0 for uniform strategies)."""
+        return self.margin_bits + sum(abs(d) for _, d in self.layer_deltas)
+
     def to_dict(self) -> Dict[str, object]:
         return {
             "strategy": self.strategy,
@@ -88,9 +91,6 @@ class Candidate:
             "layer_deltas": [list(d) for d in self.layer_deltas],
             "default_reuse": self.default_reuse,
             "dense_sigmoid_reuse": self.dense_sigmoid_reuse,
-            "batch_size": self.batch_size,
-            "n_shards": self.n_shards,
-            "workers": self.workers,
         }
 
     def key(self) -> str:
@@ -121,7 +121,7 @@ def build_config(candidate: Candidate, model,
 
 @dataclass(frozen=True)
 class SearchSpace:
-    """Axis definitions of the joint space (all tuples are ordered)."""
+    """Axis definitions of the knob space (all tuples are ordered)."""
 
     strategies: Tuple[str, ...] = REFERENCE_STRATEGIES
     margin_bits: Tuple[int, ...] = (0, 1)
@@ -129,30 +129,19 @@ class SearchSpace:
     max_perturbed_layers: int = 2
     default_reuse: Tuple[int, ...] = (16, 32, 64, 128)
     dense_sigmoid_reuse: Tuple[int, ...] = (130, 260, 520)
-    batch_sizes: Tuple[int, ...] = (8, 16, 32)
-    n_shards: Tuple[int, ...] = (1, 2, 4)
-    workers: Tuple[int, ...] = (0, 2, 4)
     #: Names of layers whose integer bits may be perturbed (layer-based
     #: strategy only); usually the profiled layers of the model.
     layer_names: Tuple[str, ...] = ()
 
     # ------------------------------------------------------------------
     def anchors(self) -> List[Candidate]:
-        """The paper's strategy ladder at its deployed serving point.
+        """The paper's strategy ladder at its deployed reuse point.
 
         Always injected first into every search mode, so the published
         Table II comparison is on every Pareto front and the search can
         only improve on the paper's hand-tuned design, never lose it.
         """
-        mid = lambda axis: axis[len(axis) // 2]
-        return [
-            Candidate(strategy=s, default_reuse=32,
-                      dense_sigmoid_reuse=DENSE_SIGMOID_REUSE,
-                      batch_size=mid(self.batch_sizes),
-                      n_shards=mid(self.n_shards),
-                      workers=mid(self.workers))
-            for s in self.strategies
-        ]
+        return [Candidate(strategy=s) for s in self.strategies]
 
     # ------------------------------------------------------------------
     def sample(self, rng: np.random.Generator) -> Candidate:
@@ -179,9 +168,6 @@ class SearchSpace:
             strategy=strategy, margin_bits=margin, layer_deltas=deltas,
             default_reuse=pick(self.default_reuse),
             dense_sigmoid_reuse=pick(self.dense_sigmoid_reuse),
-            batch_size=pick(self.batch_sizes),
-            n_shards=pick(self.n_shards),
-            workers=pick(self.workers),
         )
 
     # ------------------------------------------------------------------
@@ -193,8 +179,7 @@ class SearchSpace:
         takes ``max_candidates`` evenly-strided points.  No RNG.
         """
         axes: List[Tuple] = [self.strategies, self.margin_bits,
-                             self.default_reuse, self.dense_sigmoid_reuse,
-                             self.batch_sizes, self.n_shards, self.workers]
+                             self.default_reuse, self.dense_sigmoid_reuse]
         total = 1
         for axis in axes:
             total *= len(axis)
@@ -207,10 +192,9 @@ class SearchSpace:
             for axis in reversed(axes):
                 flat, r = divmod(flat, len(axis))
                 coords.append(axis[r])
-            (wk, sh, bs, dr2, dr, mb, st) = coords
+            (dr2, dr, mb, st) = coords
             cand = Candidate(strategy=st, margin_bits=mb,
-                             default_reuse=dr, dense_sigmoid_reuse=dr2,
-                             batch_size=bs, n_shards=sh, workers=wk)
+                             default_reuse=dr, dense_sigmoid_reuse=dr2)
             if cand.key() not in seen:
                 seen.add(cand.key())
                 out.append(cand)
@@ -220,8 +204,7 @@ class SearchSpace:
     def mutate(self, candidate: Candidate,
                rng: np.random.Generator) -> Candidate:
         """Perturb one knob of *candidate* (adaptive-mode neighborhood)."""
-        knobs = ["default_reuse", "dense_sigmoid_reuse", "batch_size",
-                 "n_shards", "workers"]
+        knobs = ["default_reuse", "dense_sigmoid_reuse"]
         if candidate.strategy == "layer-based":
             knobs.append("margin_bits")
             if self.layer_names:
@@ -238,8 +221,5 @@ class SearchSpace:
             return replace(candidate, layer_deltas=tuple(items))
         axis = {"default_reuse": self.default_reuse,
                 "dense_sigmoid_reuse": self.dense_sigmoid_reuse,
-                "batch_size": self.batch_sizes,
-                "n_shards": self.n_shards,
-                "workers": self.workers,
                 "margin_bits": self.margin_bits}[knob]
         return replace(candidate, **{knob: pick(axis)})

@@ -3,11 +3,12 @@
 Runs :func:`repro.dse.run_dse` over the paper's U-Net de-blending
 problem in all three modes (random / grid / adaptive), asserts the
 determinism contract (a seeded rerun of each mode reproduces the
-Pareto front byte for byte), and renders the adaptive front as a
-paper-style table.  The harness also checks that the adaptive front is
-non-empty and that the recommended configuration reproduces the
-deployed design: the layer-based ``<16,x>`` strategy, fitting the
-Arria 10 under the corrected resource model, inside the 3 ms budget.
+Pareto front byte for byte) and that each recommendation sits on its
+front, and renders the adaptive front as a paper-style table.  The
+harness also checks that the adaptive front is non-empty and that the
+recommended configuration reproduces the deployed design: the
+layer-based ``<16,x>`` strategy, fitting the Arria 10 under the
+corrected resource model, inside the 3 ms budget.
 
 The converted-model cache in :mod:`repro.experiments.common` is sized
 up for the sweep and its hit/miss counters are folded into a
@@ -31,9 +32,14 @@ __all__ = ["run"]
 MODES = ("random", "grid", "adaptive")
 
 
+def _label(candidate) -> str:
+    return (f"{candidate.strategy} ru={candidate.default_reuse}/"
+            f"{candidate.dense_sigmoid_reuse}")
+
+
 def run(fast: bool = False) -> ExperimentResult:
-    """Search the joint knob space on the U-Net problem; verify rerun
-    byte-identity and the paper-pin of the recommendation."""
+    """Search the co-design knob space on the U-Net problem; verify
+    rerun byte-identity and the paper-pin of the recommendation."""
     budget = 8 if fast else 16
     set_converted_cache_size(max(16, budget * 2))
     problem = unet_problem(fast=fast, seed=0)
@@ -50,11 +56,19 @@ def run(fast: bool = False) -> ExperimentResult:
                 f"diverged from the first front")
         results[mode] = result
         rec = result.recommended
+        picked = "nothing"
+        if rec is not None:
+            if not any(s is rec for s in result.front):
+                raise AssertionError(f"DSE mode {mode!r} recommended a "
+                                     f"design that is not on its front")
+            picked = (f"{_label(rec.candidate)} "
+                      f"(+{rec.candidate.perturbation} int bits, "
+                      f"node p99 {rec.node_p99_ms:.3f} ms)")
         notes.append(
             f"{mode}: {result.n_simulated} simulated / "
             f"{result.n_prefiltered} pre-filtered, front size "
             f"{len(result.front)}, rerun byte-identical; recommended "
-            f"{rec.candidate.strategy if rec else 'nothing'}")
+            f"{picked}")
 
     adaptive = results["adaptive"]
     rec = adaptive.recommended
@@ -93,20 +107,16 @@ def run(fast: bool = False) -> ExperimentResult:
         f"as experiments.converted_cache.* obs metrics)")
 
     table = Table(
-        ["Design point", "Acc", "fps (model)", "node p99 ms",
+        ["Design point", "Acc", "+int bits", "node p99 ms",
          "IP ms", "ALUT", "Regs", "Feasible"],
         title=f"DSE Pareto front — U-Net de-blending (adaptive, "
               f"budget {budget}, seed 0)")
     for score in adaptive.front:
-        c = score.candidate
-        label = (f"{c.strategy} ru={c.default_reuse}/"
-                 f"{c.dense_sigmoid_reuse} b{c.batch_size} "
-                 f"s{c.n_shards}w{c.workers}")
         marker = " <- recommended" if score is rec else ""
         table.add_row([
-            label + marker,
+            _label(score.candidate) + marker,
             f"{score.accuracy:.1%}",
-            f"{score.fps:.0f}",
+            f"{score.candidate.perturbation}",
             f"{score.node_p99_ms:.3f}",
             f"{score.est_ip_latency_ms:.2f}",
             f"{score.alut_fraction:.0%}",

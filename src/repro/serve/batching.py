@@ -30,8 +30,7 @@ import numpy as np
 from repro.soc.board import FRAME_PERIOD_S
 
 __all__ = ["BatchingPolicy", "MicroBatcher", "plan_microbatches",
-           "ARRIVAL_MODES", "check_arrival_mode", "arrivals",
-           "stream_arrivals", "backlog_arrivals"]
+           "ARRIVAL_MODES", "check_arrival_mode", "arrivals"]
 
 #: Arrival models of the farm, the daemon's ingress and their references:
 #: ``"stream"`` (one frame per period, a live digitizer grid) or
@@ -164,22 +163,12 @@ def check_arrival_mode(mode: str) -> str:
 def arrivals(n: int, mode: str, period_s: float = FRAME_PERIOD_S
              ) -> np.ndarray:
     """Arrival times of *n* frames under arrival *mode*: the one clock
-    every batch plan is drawn on."""
-    if check_arrival_mode(mode) == "backlog":
-        return backlog_arrivals(n)
-    return stream_arrivals(n, period_s)
+    every batch plan is drawn on.
 
-
-def stream_arrivals(n: int, period_s: float = FRAME_PERIOD_S) -> np.ndarray:
-    """Arrival times of a live synchronous stream: one frame per tick."""
-    return np.arange(n, dtype=np.float64) * period_s
-
-
-def backlog_arrivals(n: int) -> np.ndarray:
-    """Arrival times of a replayed backlog: everything queued at t=0.
-
-    With the cost model off (``est_cost_per_frame_s == 0``, the
-    default) the batcher fills every batch to ``max_batch``.  With a
+    A ``"stream"`` is live and synchronous: one frame every *period_s*.
+    A ``"backlog"`` is a replay: everything queued at t=0.  With the
+    cost model off (``est_cost_per_frame_s == 0``, the default) the
+    batcher fills every backlog batch to ``max_batch``.  With a
     positive cost estimate the deadline check still applies at t=0 —
     the oldest queued frame's dispatch deadline is ``slack_s`` after
     arrival regardless of when it arrived — so backlogs split as soon
@@ -188,4 +177,6 @@ def backlog_arrivals(n: int) -> np.ndarray:
     be allowed to blow the per-frame latency budget just because it is
     a backlog.
     """
-    return np.zeros(n, dtype=np.float64)
+    if check_arrival_mode(mode) == "backlog":
+        return np.zeros(n, dtype=np.float64)
+    return np.arange(n, dtype=np.float64) * period_s

@@ -109,3 +109,47 @@ class TestOneCall:
                                                  verify_frames=4)
         assert design.feasible
         assert deployment.verified
+
+
+class TestSearchedCodesign:
+    """``codesign_and_deploy(search=)`` deploys exactly the design the
+    DSE recommends."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        from repro.dse import DSESettings, open_loop_problem, run_dse
+        from repro.dse.space import build_config
+
+        model = make_trained_like_model()
+        x = np.random.default_rng(0).normal(size=(40, 16, 1)) * 40
+        profiles = CodesignOptimizer(model, x, eval_frames=30).profiles
+        problem = open_loop_problem(model, x, eval_frames=30,
+                                    profiles=profiles, name="codesign")
+        res = run_dse(problem, settings=DSESettings(mode="adaptive"))
+        assert res.recommended is not None
+        want = build_config(res.recommended.candidate, model, profiles)
+        return model, x, want
+
+    @pytest.mark.parametrize("search", ["adaptive", "settings"])
+    def test_deploys_the_recommended_design(self, setup, search):
+        from repro.dse import DSESettings
+
+        model, x, want = setup
+        if search == "settings":
+            search = DSESettings(mode="adaptive")
+        design, deployment = codesign_and_deploy(
+            model, x, eval_frames=30, verify_frames=4, search=search)
+        assert deployment.verified
+        got = deployment.hls_model.config
+        for layer in model.layers:
+            assert (got.for_layer(layer.name).result
+                    == want.for_layer(layer.name).result), layer.name
+            assert (got.for_layer(layer.name).reuse_factor
+                    == want.for_layer(layer.name).reuse_factor), layer.name
+
+    def test_unknown_mode_rejected(self):
+        model = make_trained_like_model()
+        x = np.random.default_rng(0).normal(size=(40, 16, 1)) * 40
+        with pytest.raises(ValueError, match="mode"):
+            codesign_and_deploy(model, x, eval_frames=30, verify_frames=4,
+                                search="exhaustive")

@@ -45,7 +45,7 @@ from repro.serve import (
     drive_streams,
     serve_streams_reference,
 )
-from repro.serve.batching import plan_microbatches, stream_arrivals
+from repro.serve.batching import arrivals, plan_microbatches
 from repro.serve.protocol import (
     ASSIGN_STREAM,
     MAX_PAYLOAD,
@@ -180,7 +180,7 @@ class TestStreamIngress:
         got = []
         while (b := ing.next_ready()) is not None:
             got.append(b)
-        assert got == plan_microbatches(stream_arrivals(n, 3e-3), policy)
+        assert got == plan_microbatches(arrivals(n, "stream", 3e-3), policy)
         assert ing.shed == 0
 
     def test_shed_at_queue_limit_is_deterministic(self):

@@ -1,13 +1,19 @@
 """Tests for the design-space-exploration autotuner (repro.dse)."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core.codesign import DesignConstraints
 from repro.dse import (
     Candidate,
+    CandidateScore,
     DSESettings,
     SearchSpace,
     build_config,
@@ -16,8 +22,9 @@ from repro.dse import (
     plant_problem,
     run_dse,
     score_candidate,
+    unet_problem,
 )
-from repro.dse.driver import MODES
+from repro.dse.driver import MODES, _recommend
 from repro.dse.pareto import dominates
 from repro.experiments import common
 from repro.hls.profiling import profile_model
@@ -62,6 +69,13 @@ class TestCandidate:
         assert Candidate().is_reference_precision
         assert not Candidate(margin_bits=1).is_reference_precision
         assert not Candidate(default_reuse=64).is_reference_precision
+
+    def test_perturbation_counts_integer_bits_moved(self):
+        c = Candidate(margin_bits=1, layer_deltas=(("a", -1), ("b", 1)))
+        assert c.perturbation == 3
+        assert Candidate(strategy="uniform<16,7>", margin_bits=1,
+                         layer_deltas=(("a", 1),)).perturbation == 0
+        assert all(a.perturbation == 0 for a in SearchSpace().anchors())
 
 
 class TestSearchSpace:
@@ -173,15 +187,83 @@ class TestScoring:
         s1 = score_candidate(mk(), Candidate())
         s2 = score_candidate(mk(), Candidate())
         assert s1.to_dict() == s2.to_dict()
-        assert s1.simulated and s1.fps > 0
+        assert s1.simulated
+        assert math.isfinite(s1.node_p99_ms) and s1.node_p99_ms > 0
 
-    def test_workers_scale_modelled_throughput(self):
+    def test_negative_eval_frames_rejected(self):
         m = small_model()
-        x = np.random.default_rng(3).normal(size=(16, 8))
+        x = np.random.default_rng(1).normal(size=(16, 8))
         problem = open_loop_problem(m, x, eval_frames=8, name="tiny")
-        solo = score_candidate(problem, Candidate(n_shards=1, workers=0))
-        pool = score_candidate(problem, Candidate(n_shards=4, workers=4))
-        assert pool.fps > solo.fps
+        with pytest.raises(ValueError, match="eval_frames"):
+            score_candidate(problem, Candidate(), eval_frames=-3)
+
+
+def _score(candidate, accuracy, node_p99_ms, pressure=0.1):
+    return CandidateScore(
+        candidate=candidate, fits=True, est_latency_ok=True, simulated=True,
+        accuracy=accuracy, node_p99_ms=node_p99_ms,
+        alut_fraction=pressure, register_fraction=pressure,
+        dsp_fraction=pressure, m20k_fraction=pressure,
+        memory_bits_fraction=pressure)
+
+
+class TestRank:
+    def test_perturbation_adopted_only_when_more_accurate(self):
+        profiled = _score(Candidate(), 1.0, 2.0)
+        faster = _score(Candidate(margin_bits=1, default_reuse=16), 1.0, 1.0)
+        assert _recommend([faster, profiled]) is profiled
+        # Both sit on the front: the perturbed one trades bits for p99.
+        front = pareto_front([profiled, faster], CandidateScore.objectives,
+                             tie_break=lambda s: s.candidate.key())
+        assert len(front) == 2
+        # A perturbation that buys accuracy wins, even when slower.
+        coarse = _score(Candidate(), 0.9, 2.0)
+        sharper = _score(Candidate(layer_deltas=(("d1", 1),)), 1.0, 3.0)
+        assert _recommend([coarse, sharper]) is sharper
+
+    def test_resource_pressure_breaks_latency_ties(self):
+        lean = _score(Candidate(default_reuse=64), 1.0, 2.0, pressure=0.2)
+        wide = _score(Candidate(default_reuse=16), 1.0, 2.0, pressure=0.5)
+        assert _recommend([wide, lean]) is lean
+        assert _recommend([]) is None
+
+
+class TestFrameCounts:
+    """Frame counts below 1 fail at the DSE's boundary, naming the
+    keyword, before any scoring work."""
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_screen_frames(self, n):
+        with pytest.raises(ValueError, match="screen_frames"):
+            DSESettings(screen_frames=n)
+
+    def test_open_loop_eval_frames(self):
+        x = np.zeros((4, 8))
+        with pytest.raises(ValueError, match="eval_frames"):
+            open_loop_problem(small_model(), x, eval_frames=0)
+
+    def test_plant_frame_counts(self):
+        with pytest.raises(ValueError, match="eval_frames"):
+            plant_problem(CartpolePlant(), eval_frames=0)
+        with pytest.raises(ValueError, match="profile_frames"):
+            plant_problem(CartpolePlant(), profile_frames=0)
+
+    def test_unet_eval_frames(self):
+        with pytest.raises(ValueError, match="eval_frames"):
+            unet_problem(fast=True, eval_frames=0)
+
+
+def test_import_loads_no_serving_module():
+    """The DSE scores designs from the hardware model alone: importing
+    it pulls in nothing from the serving stack."""
+    code = ("import sys, repro.dse\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.startswith('repro.serve')))\n")
+    src = str(Path(repro.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True, timeout=300,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
 
 
 class TestDriverDeterminism:
@@ -201,6 +283,7 @@ class TestDriverDeterminism:
         assert r1.front_json() == r2.front_json()
         assert r1.front, f"{mode}: empty front"
         assert r1.recommended is not None and r1.recommended.feasible
+        assert any(s is r1.recommended for s in r1.front)
 
     def test_anchors_always_evaluated(self, problem):
         res = run_dse(problem, settings=DSESettings(
@@ -229,13 +312,13 @@ class TestUnetRecommendation:
     """The recommended U-Net config must reproduce the deployed
     layer-based <16,x> strategy within one integer bit (satellite 4)."""
 
-    def test_recommendation_pins_paper_design(self):
-        from repro.dse import unet_problem
+    @pytest.mark.parametrize("seed", range(10))
+    def test_recommendation_pins_paper_design(self, seed):
         from repro.hls.precision import layer_based_config
 
         problem = unet_problem(fast=True, eval_frames=32)
         res = run_dse(problem, settings=DSESettings(
-            mode="adaptive", budget=6, seed=0, survivors=2, mutations=1))
+            mode="adaptive", budget=6, seed=seed, survivors=2, mutations=1))
         rec = res.recommended
         assert rec is not None and rec.feasible
         assert rec.candidate.strategy == "layer-based"

@@ -433,6 +433,7 @@ class TestFacadeRedesign:
     def test_removed_spellings_fail_loudly(self, tiny_model):
         """Every API has one spelling: the removed keyword and attribute
         aliases raise instead of being silently accepted."""
+        from repro.dse import Candidate, SearchSpace, score as dse_score
         from repro.hls import HLSConfig, convert
         from repro.hls.model import RunStats
 
@@ -449,6 +450,11 @@ class TestFacadeRedesign:
                                       None)
         assert not hasattr(RunStats, "kernel_times")
         assert not hasattr(repro.ControlLoopResult, "latencies_s")
+        with pytest.raises(TypeError, match="batch_size"):
+            Candidate(batch_size=16)
+        with pytest.raises(TypeError, match="workers"):
+            SearchSpace(workers=(0,))
+        assert not hasattr(dse_score, "ServiceModel")
 
     def test_plants_exported_at_top_level(self):
         assert issubclass(repro.BeamLossPlant, repro.Plant)

@@ -47,7 +47,7 @@ from repro.serve import (
     plan_microbatches,
     shard_seed,
 )
-from repro.serve.batching import backlog_arrivals, stream_arrivals
+from repro.serve.batching import arrivals
 from repro.serve.merge import merge_histogram_summaries, merge_metrics_snapshots
 from repro.soc.board import FRAME_PERIOD_S
 from repro.soc.faults import (
@@ -150,12 +150,12 @@ class TestSharding:
 # ----------------------------------------------------------------------
 class TestBatching:
     def test_backlog_fills_to_max_batch(self):
-        plan = plan_microbatches(backlog_arrivals(10),
+        plan = plan_microbatches(arrivals(10, "backlog"),
                                  BatchingPolicy(max_batch=4))
         assert plan == [(0, 4), (4, 8), (8, 10)]
 
     def test_zero_slack_stream_dispatches_singletons(self):
-        plan = plan_microbatches(stream_arrivals(4, FRAME_PERIOD_S),
+        plan = plan_microbatches(arrivals(4, "stream", FRAME_PERIOD_S),
                                  BatchingPolicy(max_batch=8, slack_s=0.0))
         assert plan == [(0, 1), (1, 2), (2, 3), (3, 4)]
 
@@ -166,11 +166,12 @@ class TestBatching:
         # batch flushes at 3 frames although max_batch is 32.
         policy = BatchingPolicy(max_batch=32, slack_s=3 * FRAME_PERIOD_S,
                                 est_cost_per_frame_s=1e-3)
-        plan = plan_microbatches(stream_arrivals(10, FRAME_PERIOD_S), policy)
+        plan = plan_microbatches(arrivals(10, "stream", FRAME_PERIOD_S),
+                                 policy)
         assert plan == [(0, 3), (3, 6), (6, 9), (9, 10)]
 
     def test_plan_covers_exactly_once_in_order(self):
-        plan = plan_microbatches(stream_arrivals(23, FRAME_PERIOD_S),
+        plan = plan_microbatches(arrivals(23, "stream", FRAME_PERIOD_S),
                                  BatchingPolicy(max_batch=5))
         flat = [i for a, b in plan for i in range(a, b)]
         assert flat == list(range(23))
@@ -551,7 +552,7 @@ class TestBatchingContracts:
             plan_microbatches([float("nan")], BatchingPolicy())
 
     def test_backlog_cost_model_splits_before_max_batch(self):
-        arr = backlog_arrivals(9)
+        arr = arrivals(9, "backlog")
         # Cost model off (the default): batches fill to max_batch.
         assert plan_microbatches(arr, BatchingPolicy(max_batch=4)) == [
             (0, 4), (4, 8), (8, 9)]
@@ -559,7 +560,7 @@ class TestBatchingContracts:
         # t=0, the oldest frame's deadline is slack_s after arrival, so
         # the batch splits as soon as cost * (len + 1) > slack — here
         # at 3 frames, well before max_batch=8 (docstring contract of
-        # backlog_arrivals).
+        # arrivals).
         pol = BatchingPolicy(max_batch=8, slack_s=3e-3,
                              est_cost_per_frame_s=1e-3)
         assert plan_microbatches(arr, pol) == [(0, 3), (3, 6), (6, 9)]
@@ -733,7 +734,7 @@ def _session_case(name, tiny_hls):
                         config=RuntimeConfig(batch_inference=True),
                         plant=BeamLossPlant(min_votes=1),
                         injector=FaultInjector(TestFarmChaos.SPECS, seed=99))
-        batches = plan_microbatches(backlog_arrivals(40),
+        batches = plan_microbatches(arrivals(40, "backlog"),
                                     BatchingPolicy(max_batch=8))
         return spec, 2, 3, frames_for(40), batches
     if name == "closed-loop-cartpole":
@@ -746,7 +747,7 @@ def _session_case(name, tiny_hls):
     spec = FarmSpec(model=tiny_hls,
                     config=RuntimeConfig(batch_inference=True),
                     plant=BeamLossPlant(min_votes=1))
-    batches = plan_microbatches(stream_arrivals(11, FRAME_PERIOD_S),
+    batches = plan_microbatches(arrivals(11, "stream", FRAME_PERIOD_S),
                                 BatchingPolicy(max_batch=4))
     return spec, 7, 5, frames_for(11, seed=42), batches
 
